@@ -182,7 +182,7 @@ func BenchmarkE1_ProfilingOverhead(b *testing.B) {
 			ix := benchIndex(b, n, n, predindex.OrgMemoryIndex)
 			if profiled {
 				ix2 := predindex.New(predindex.WithForcedOrganization(predindex.OrgMemoryIndex),
-					predindex.WithProfile(profile.New(0)))
+					predindex.WithProfile(profile.New(0, 0)))
 				ix2.AddSource(1, workload.EmpSchema)
 				for i := 0; i < n; i++ {
 					sig, consts := benchEqSig(b, fmt.Sprintf("user%07d", i))

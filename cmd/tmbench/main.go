@@ -212,7 +212,7 @@ func mkIndex(n, distinct int, org predindex.Organization) *predindex.Index {
 	if !noProfile {
 		// Mirrors the system default: attribution is always on unless
 		// explicitly disabled, so E1 measures the shipped match path.
-		opts = append(opts, predindex.WithProfile(profile.New(0)))
+		opts = append(opts, predindex.WithProfile(profile.New(0, 0)))
 	}
 	ix := predindex.New(opts...)
 	ix.AddSource(1, workload.EmpSchema)

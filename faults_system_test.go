@@ -7,16 +7,20 @@ package triggerman
 // terminate.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"triggerman/internal/catalog"
+	"triggerman/internal/datasource"
 	"triggerman/internal/faults"
 	"triggerman/internal/retry"
 	"triggerman/internal/storage"
+	"triggerman/internal/taskq"
 	"triggerman/internal/types"
 )
 
@@ -58,28 +62,76 @@ func collectEvents(sys *System, event string, buffer int, t *testing.T) (seen fu
 	return seen, stop
 }
 
+// faultyDequeue fails every third dequeue with a transient fault
+// before touching the queue, so every dispatch setting meets dequeue
+// faults — also the ones whose backlog never leaves the buffer pool and
+// so never reaches the faulty disk.
+type faultyDequeue struct {
+	datasource.Queue
+	calls  atomic.Int64
+	healed atomic.Bool
+}
+
+func (q *faultyDequeue) fault() error {
+	if !q.healed.Load() && q.calls.Add(1)%3 == 0 {
+		return retry.Transient(errors.New("faults: injected dequeue fault"))
+	}
+	return nil
+}
+
+func (q *faultyDequeue) Dequeue() (datasource.Token, bool, error) {
+	if err := q.fault(); err != nil {
+		return datasource.Token{}, false, err
+	}
+	return q.Queue.Dequeue()
+}
+
+func (q *faultyDequeue) DequeueBatch(max int) ([]datasource.Token, error) {
+	if err := q.fault(); err != nil {
+		return nil, err
+	}
+	return q.Queue.DequeueBatch(max)
+}
+
 // TestChaosNoTokenLost floods the system with tokens while the disk
-// fails ~10% of page operations and actions fail ~15% (plus ~2% panic).
+// fails ~10% of page operations, every third dequeue fails, and actions
+// fail ~15% (plus ~2% panic).
 // The contract: every token is delivered or dead-lettered — never
 // silently dropped — the queue drains empty, and the drivers survive to
-// process a clean second wave.
+// process a clean second wave. It holds under every dispatch setting:
+// the pipeline is one path, and the settings only move its stages.
 func TestChaosNoTokenLost(t *testing.T) {
-	const total = 10000
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"SourceFIFO", Options{SourceFIFO: true}},
+		{"ConditionPartitions", Options{ConditionPartitions: 2}},
+		{"Synchronous", Options{Synchronous: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { chaosNoTokenLost(t, tc.opts) })
+	}
+}
+
+func chaosNoTokenLost(t *testing.T, opts Options) {
+	const total = 2500 // per dispatch setting
 	fd := faults.NewDisk(storage.NewMem(), 42)
 	fast := func(attempts int) *retry.Policy {
 		return &retry.Policy{MaxAttempts: attempts, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond}
 	}
-	sys, err := Open(Options{
-		Disk:            fd,
-		Drivers:         4,
-		BufferPoolPages: 64, // small pool: real disk traffic under load
-		QueueRetry:      fast(15),
-		ActionRetry:     fast(10),
-	})
+	opts.Disk = fd
+	opts.Drivers = 4
+	opts.BufferPoolPages = 16 // small pool: real disk traffic under load
+	opts.QueueRetry = fast(15)
+	opts.ActionRetry = fast(10)
+	sys, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
+	fq := &faultyDequeue{Queue: sys.queue}
+	sys.queue = fq
 	src, err := sys.DefineStreamSource("chaos", types.Column{Name: "v", Kind: types.KindInt})
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +160,7 @@ func TestChaosNoTokenLost(t *testing.T) {
 	// Heal everything before verifying (the verification reads go
 	// through the same disk).
 	fd.SetErrorRate(0)
+	fq.healed.Store(true)
 	inj.SetErrorRate(0)
 	inj.SetPanicRate(0)
 
@@ -160,6 +213,45 @@ func TestChaosNoTokenLost(t *testing.T) {
 		fd.Injected(), inj.InjectedErrors(), inj.InjectedPanics(), len(delivered), len(dls), st.Pool.Retries, st.Pool.Panics)
 	if err := sys.Close(); err != nil {
 		t.Fatalf("Close after chaos: %v", err)
+	}
+}
+
+// TestPoolClosedMidFanOutDeadLetters: a token that has left the queue
+// when the pool stops taking its partition tasks is dead-lettered as a
+// whole token — not half fired and half lost.
+func TestPoolClosedMidFanOutDeadLetters(t *testing.T) {
+	sys, err := Open(Options{Drivers: 2, Queue: MemoryQueue, ConditionPartitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	src, err := sys.DefineStreamSource("s", types.Column{Name: "v", Kind: types.KindInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateTrigger(`create trigger x from s when s.v >= 0 do raise event X(s.v)`); err != nil {
+		t.Fatal(err)
+	}
+	// The token is queued, the pool closes, and only then does a pump
+	// take the token out: its fan-out finds the pool shut.
+	if _, err := sys.queue.Enqueue(datasource.Token{
+		SourceID: src.Source().ID, Op: datasource.OpInsert, New: types.Tuple{types.NewInt(7)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sys.pool.Close()
+	if err := sys.pump(taskq.NoSlot); err != nil {
+		t.Fatalf("pump: %v", err)
+	}
+	dls, err := sys.DeadLetters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dls) != 1 || dls[0].Kind != catalog.DeadToken || dls[0].Token.New[0].Int() != 7 {
+		t.Fatalf("dead letters = %+v, want the one token as %s", dls, catalog.DeadToken)
+	}
+	if depth := sys.Stats().QueueDepth; depth != 0 {
+		t.Errorf("queue depth = %d, want 0", depth)
 	}
 }
 

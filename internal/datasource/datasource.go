@@ -515,6 +515,13 @@ func (q *TableQueue) Dequeue() (Token, bool, error) {
 func (q *TableQueue) DequeueBatch(max int) ([]Token, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.heap.Count() == 0 {
+		// Every captured token schedules a pump and one pump takes a whole
+		// batch, so most pumps find the queue empty; without this they
+		// would walk the whole page chain (drained pages are never
+		// unlinked) to learn it.
+		return nil, nil
+	}
 	type liveRec struct {
 		tok Token
 		rid storage.RID

@@ -529,6 +529,16 @@ func TestTableQueueDequeueBatchAcrossPageBoundaries(t *testing.T) {
 	if q.Len() != 0 {
 		t.Errorf("len after drain = %d", q.Len())
 	}
+	// Most pumps find the queue empty; they must learn it from the count,
+	// not by walking the drained page chain.
+	before := bp.Stats()
+	if batch, err := q.DequeueBatch(16); err != nil || len(batch) != 0 {
+		t.Fatalf("dequeue from the drained queue = %v, %v", batch, err)
+	}
+	if after := bp.Stats(); after.Hits+after.Misses != before.Hits+before.Misses {
+		t.Errorf("dequeue from the drained queue fetched %d pages, want 0",
+			after.Hits+after.Misses-before.Hits-before.Misses)
+	}
 }
 
 func TestTableQueueBatchThenSingleDequeueAgree(t *testing.T) {

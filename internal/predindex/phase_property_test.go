@@ -101,7 +101,7 @@ func TestPropertyProbeDuringReconcile(t *testing.T) {
 				} else {
 					tok = insertTok(fmt.Sprintf("c%02d", (i/2+slot)%ncold), int64(i), "d00")
 				}
-				if err := ix.MatchTokenSlot(tok, slot, func(Match) bool {
+				if err := ix.Match(tok, MatchCtx{Part: AllParts, Slot: slot}, func(Match) bool {
 					local++
 					return true
 				}); err != nil {

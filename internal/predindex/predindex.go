@@ -596,7 +596,7 @@ func (e *SignatureEntry) Size() int {
 
 // SetPartitions splits every triggerID set of this signature into n
 // round-robin partitions (Figure 5), enabling condition-level
-// concurrency: MatchPartition(p) visits only partition p.
+// concurrency: Match with MatchCtx.Part = p visits only partition p.
 func (e *SignatureEntry) SetPartitions(n int) error {
 	if n < 1 {
 		return fmt.Errorf("predindex: partitions must be >= 1")
@@ -709,34 +709,22 @@ func (ix *Index) newSet(e *SignatureEntry, org Organization) (constantSet, error
 	}
 }
 
-// MatchToken probes the index with a token and streams every matching
-// expression instance. This is the §5.4 algorithm: locate the data
-// source predicate index, consult each signature's predicate-testing
-// structure, then test remaining clauses of partially indexable
-// predicates. Callers with a stable driver slot should prefer
-// MatchTokenSlot so contended counters slice per worker.
+// MatchCtx says which slice of the index a probe visits and on whose
+// behalf: Part restricts every triggerID set to one round-robin
+// partition (task type 3 of §6; AllParts visits them all), Slot is the
+// prober's stable driver slot (taskq Task.RunSlot), so counter updates
+// for a hot key land in that worker's own slice (phasecounter.NoSlot
+// outside any driver).
+type MatchCtx struct {
+	Part, Slot int
+}
+
+// AllParts is the MatchCtx.Part value that probes every partition.
+const AllParts = -1
+
+// MatchToken is Match with no context: every partition, no driver slot.
 func (ix *Index) MatchToken(tok datasource.Token, fn func(Match) bool) error {
-	return ix.matchToken(tok, -1, -1, fn)
-}
-
-// MatchTokenSlot is MatchToken with the caller's stable driver slot
-// (taskq Task.RunSlot): counter updates route to the worker's own
-// slice once a key goes hot, so a viral constant stops bouncing cache
-// lines between drivers.
-func (ix *Index) MatchTokenSlot(tok datasource.Token, slot int, fn func(Match) bool) error {
-	return ix.matchToken(tok, -1, slot, fn)
-}
-
-// MatchTokenPartition is MatchToken restricted to one partition of every
-// triggerID set (task type 3 of §6).
-func (ix *Index) MatchTokenPartition(tok datasource.Token, part int, fn func(Match) bool) error {
-	return ix.matchToken(tok, part, -1, fn)
-}
-
-// MatchTokenPartitionSlot is MatchTokenPartition with the caller's
-// stable driver slot.
-func (ix *Index) MatchTokenPartitionSlot(tok datasource.Token, part, slot int, fn func(Match) bool) error {
-	return ix.matchToken(tok, part, slot, fn)
+	return ix.Match(tok, MatchCtx{Part: AllParts, Slot: phasecounter.NoSlot}, fn)
 }
 
 // probe carries the prober's worker identity and the reconcile domain
@@ -747,7 +735,13 @@ type probe struct {
 	slot int
 }
 
-func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match) bool) error {
+// Match probes the index with a token and streams every matching
+// expression instance. This is the §5.4 algorithm: locate the data
+// source predicate index, consult each signature's predicate-testing
+// structure, then test remaining clauses of partially indexable
+// predicates.
+func (ix *Index) Match(tok datasource.Token, ctx MatchCtx, fn func(Match) bool) error {
+	part, slot := ctx.Part, ctx.Slot
 	if ix.matchHist != nil {
 		begin := time.Now()
 		defer func() { ix.matchHist.Observe(time.Since(begin)) }()
@@ -807,7 +801,7 @@ func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match)
 					// Charge the failed probe on this cold branch; the hot
 					// (matching) branch folds probe+match into one lookup.
 					if p := ix.prof; p != nil {
-						p.MatchProbeSlot(ref.TriggerID, slot)
+						p.MatchProbe(ref.TriggerID, slot)
 					}
 					return true
 				}
@@ -815,7 +809,7 @@ func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match)
 			matches++
 			sigMatches++
 			if p := ix.prof; p != nil {
-				p.MatchHitSlot(ref.TriggerID, slot)
+				p.MatchHit(ref.TriggerID, slot)
 			}
 			if !fn(Match{Ref: ref, SourceID: tok.SourceID}) {
 				stop = true

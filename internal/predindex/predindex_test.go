@@ -10,6 +10,7 @@ import (
 	"triggerman/internal/expr"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
+	"triggerman/internal/phasecounter"
 	"triggerman/internal/storage"
 	"triggerman/internal/types"
 )
@@ -278,7 +279,7 @@ func TestPartitionedTriggerIDSets(t *testing.T) {
 	total := 0
 	for p := 0; p < 4; p++ {
 		var ms []Match
-		if err := ix.MatchTokenPartition(tok, p, func(m Match) bool {
+		if err := ix.Match(tok, MatchCtx{Part: p, Slot: phasecounter.NoSlot}, func(m Match) bool {
 			ms = append(ms, m)
 			return true
 		}); err != nil {

@@ -137,8 +137,8 @@ type Sketch struct {
 	mask      uint64
 	evictions atomic.Int64
 	// dom, when set, gives the sketch's counters per-driver slice
-	// geometry and a reconcile clock (see NewSlicedSketch); nil keeps
-	// every counter on the plain path.
+	// geometry and a reconcile clock (NewSketch with slots > 0); nil
+	// keeps every counter on the plain path.
 	dom *phasecounter.Domain
 }
 
@@ -150,7 +150,11 @@ const sliceTopK = 8
 
 // NewSketch builds a sketch tracking at least capacity entities
 // (rounded up to a power-of-two bucket count times the associativity).
-func NewSketch(capacity int) *Sketch {
+// With slots > 0 its hot keys split into that many per-driver slices:
+// updates carrying a driver slot route through the slices once a key
+// promotes — by the counter's own contention probe or by top-K rank at
+// a Reconcile tick. slots == 0 keeps every counter plain.
+func NewSketch(capacity, slots int) *Sketch {
 	if capacity < ways {
 		capacity = ways
 	}
@@ -158,15 +162,7 @@ func NewSketch(capacity int) *Sketch {
 	for n*ways < capacity {
 		n <<= 1
 	}
-	return &Sketch{buckets: make([]bucket, n), mask: uint64(n - 1)}
-}
-
-// NewSlicedSketch builds a sketch whose hot keys split into slots
-// per-driver slices. Updates carrying a driver slot (AddSlot/Add2Slot)
-// route through the slices once a key promotes — by the counter's own
-// contention probe or by top-K rank at a Reconcile tick.
-func NewSlicedSketch(capacity, slots int) *Sketch {
-	s := NewSketch(capacity)
+	s := &Sketch{buckets: make([]bucket, n), mask: uint64(n - 1)}
 	if slots > 0 {
 		s.dom = phasecounter.NewDomain(slots)
 	}
@@ -228,15 +224,11 @@ func mix(x uint64) uint64 {
 
 // Add charges delta of metric m to key. Keys already tracked pay two
 // atomic adds after at most `ways` atomic loads from one cache line;
-// new keys take the bucket mutex for (possibly sampled) admission.
-func (s *Sketch) Add(key uint64, m Metric, delta int64) {
-	s.AddSlot(key, phasecounter.NoSlot, m, delta)
-}
-
-// AddSlot is Add with the caller's stable driver slot: on a sliced
-// sketch, updates to a promoted key land in the slot's own slice
-// instead of the shared cell.
-func (s *Sketch) AddSlot(key uint64, slot int, m Metric, delta int64) {
+// new keys take the bucket mutex for (possibly sampled) admission. slot
+// is the caller's stable driver slot (phasecounter.NoSlot outside any
+// driver): on a sliced sketch, updates to a promoted key land in the
+// slot's own slice instead of the shared cell.
+func (s *Sketch) Add(key uint64, slot int, m Metric, delta int64) {
 	if key == 0 {
 		return
 	}
@@ -258,12 +250,7 @@ func (s *Sketch) AddSlot(key uint64, slot int, m Metric, delta int64) {
 // match hot path charges Probes and Matches together, so folding both
 // into one scan halves its sketch cost. The update counts as one event
 // for the space-saving rank.
-func (s *Sketch) Add2(key uint64, m1 Metric, d1 int64, m2 Metric, d2 int64) {
-	s.Add2Slot(key, phasecounter.NoSlot, m1, d1, m2, d2)
-}
-
-// Add2Slot is Add2 with the caller's stable driver slot.
-func (s *Sketch) Add2Slot(key uint64, slot int, m1 Metric, d1 int64, m2 Metric, d2 int64) {
+func (s *Sketch) Add2(key uint64, slot int, m1 Metric, d1 int64, m2 Metric, d2 int64) {
 	if key == 0 {
 		return
 	}
@@ -432,22 +419,15 @@ type Profiler struct {
 // for every plausibly-hot entity at a few hundred bytes each.
 const DefaultCapacity = 1024
 
-// New builds a profiler tracking up to capacity triggers.
-func New(capacity int) *Profiler {
+// New builds a profiler tracking up to capacity triggers (<= 0 takes
+// DefaultCapacity). With slots > 0 hot triggers' tallies split into
+// per-driver slices (see NewSketch) and the system ticks Reconcile on
+// its epoch timer.
+func New(capacity, slots int) *Profiler {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Profiler{Triggers: NewSketch(capacity)}
-}
-
-// NewSliced builds a profiler whose hot triggers' tallies split into
-// slots per-driver slices (see NewSlicedSketch). The system ticks
-// Reconcile on its epoch timer.
-func NewSliced(capacity, slots int) *Profiler {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Profiler{Triggers: NewSlicedSketch(capacity, slots)}
+	return &Profiler{Triggers: NewSketch(capacity, slots)}
 }
 
 // Reconcile runs one fold epoch on the trigger sketch (no-op for a
@@ -470,31 +450,22 @@ func (p *Profiler) Contention() phasecounter.DomainStats {
 // MatchProbe charges one candidate-ref delivery whose rest-of-predicate
 // test failed. (Candidates that match are charged by MatchHit, which
 // folds the probe and the match into one sketch lookup — the match path
-// pays at most one lookup per candidate either way.)
-func (p *Profiler) MatchProbe(triggerID uint64) {
-	p.MatchProbeSlot(triggerID, phasecounter.NoSlot)
-}
-
-// MatchProbeSlot is MatchProbe stamped with the probing driver's slot.
-func (p *Profiler) MatchProbeSlot(triggerID uint64, slot int) {
+// pays at most one lookup per candidate either way.) slot is the
+// probing driver's slot.
+func (p *Profiler) MatchProbe(triggerID uint64, slot int) {
 	if p == nil {
 		return
 	}
-	p.Triggers.AddSlot(triggerID, slot, Probes, 1)
+	p.Triggers.Add(triggerID, slot, Probes, 1)
 }
 
 // MatchHit charges one candidate-ref delivery that passed its whole
 // selection predicate: a probe and a match in a single lookup.
-func (p *Profiler) MatchHit(triggerID uint64) {
-	p.MatchHitSlot(triggerID, phasecounter.NoSlot)
-}
-
-// MatchHitSlot is MatchHit stamped with the probing driver's slot.
-func (p *Profiler) MatchHitSlot(triggerID uint64, slot int) {
+func (p *Profiler) MatchHit(triggerID uint64, slot int) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add2Slot(triggerID, slot, Probes, 1, Matches, 1)
+	p.Triggers.Add2(triggerID, slot, Probes, 1, Matches, 1)
 }
 
 // ObserveAction charges one rule-action execution and its wall time.
@@ -502,7 +473,7 @@ func (p *Profiler) ObserveAction(triggerID uint64, d time.Duration) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add2(triggerID, ActionRuns, 1, ActionNanos, d.Nanoseconds())
+	p.Triggers.Add2(triggerID, phasecounter.NoSlot, ActionRuns, 1, ActionNanos, d.Nanoseconds())
 }
 
 // ActionFailure charges one quarantined firing.
@@ -510,7 +481,7 @@ func (p *Profiler) ActionFailure(triggerID uint64) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add(triggerID, Failures, 1)
+	p.Triggers.Add(triggerID, phasecounter.NoSlot, Failures, 1)
 }
 
 // ActionRetries charges retry attempts beyond the first.
@@ -518,7 +489,7 @@ func (p *Profiler) ActionRetries(triggerID uint64, attempts int) {
 	if p == nil || attempts <= 1 {
 		return
 	}
-	p.Triggers.Add(triggerID, Retries, int64(attempts-1))
+	p.Triggers.Add(triggerID, phasecounter.NoSlot, Retries, int64(attempts-1))
 }
 
 // CacheHit charges one trigger-cache pin hit.
@@ -526,7 +497,7 @@ func (p *Profiler) CacheHit(triggerID uint64) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add(triggerID, CacheHits, 1)
+	p.Triggers.Add(triggerID, phasecounter.NoSlot, CacheHits, 1)
 }
 
 // CacheMiss charges one trigger-cache pin miss.
@@ -534,7 +505,7 @@ func (p *Profiler) CacheMiss(triggerID uint64) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add(triggerID, CacheMisses, 1)
+	p.Triggers.Add(triggerID, phasecounter.NoSlot, CacheMisses, 1)
 }
 
 // TriggerEntry returns the tracked entry for a trigger ID.

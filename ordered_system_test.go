@@ -1,6 +1,7 @@
 package triggerman
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -13,14 +14,26 @@ import (
 // enabled, every firing for a given source must observe that source's
 // tokens in enqueue order. Two sources insert concurrently so tokens
 // from different sources interleave freely in the shared queue — only
-// the per-source subsequences are constrained.
+// the per-source subsequences are constrained. Ordering is part of the
+// trigger semantics, so it may not depend on an unrelated knob: it
+// holds with ConditionPartitions set too, where ordering wins over
+// partition fan-out.
 func TestSourceFIFOOrderingUnderDriverPool(t *testing.T) {
+	for _, parts := range []int{0, 2} {
+		t.Run(fmt.Sprintf("ConditionPartitions=%d", parts), func(t *testing.T) {
+			sourceFIFOOrdering(t, parts)
+		})
+	}
+}
+
+func sourceFIFOOrdering(t *testing.T, parts int) {
 	sys, err := Open(Options{
-		Drivers:    8,
-		Queue:      MemoryQueue,
-		SourceFIFO: true,
-		TokenBatch: 4,
-		Threshold:  time.Millisecond,
+		Drivers:             8,
+		Queue:               MemoryQueue,
+		SourceFIFO:          true,
+		ConditionPartitions: parts,
+		TokenBatch:          4,
+		Threshold:           time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +103,61 @@ func TestSourceFIFOOrderingUnderDriverPool(t *testing.T) {
 	checkSequential(t, "sb", gotB, n)
 	t.Logf("pool steals=%d parks=%d unparks=%d",
 		sys.Stats().Pool.Steals, sys.Stats().Pool.Parks, sys.Stats().Pool.Unparks)
+}
+
+// TestPropagateOncePerToken: whatever the dispatch setting, a token's
+// propagation pass runs exactly once — each insert adds one row to the
+// join trigger's alpha memory (a bag, so a second pass would show), on
+// a 2-partition system where match-and-fire runs once per partition.
+func TestPropagateOncePerToken(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"SourceFIFO", Options{SourceFIFO: true}},
+		{"Synchronous", Options{Synchronous: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Drivers = 4
+			opts.Queue = MemoryQueue
+			opts.ConditionPartitions = 2
+			sys, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			a, err := sys.DefineStreamSource("a", types.Column{Name: "x", Kind: types.KindInt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.DefineStreamSource("b", types.Column{Name: "x", Kind: types.KindInt}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CreateTrigger(`create trigger j from a, b when a.x = b.x do raise event J(a.x)`); err != nil {
+				t.Fatal(err)
+			}
+			const n = 300
+			for i := 0; i < n; i++ {
+				if err := a.Insert(types.Tuple{types.NewInt(int64(i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.Drain()
+			if sys.Errors() != 0 {
+				t.Fatalf("errors: %v", sys.LastError())
+			}
+			lt, unpin, err := sys.Catalog().Pin(triggerIDByName(t, sys, "j"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer unpin()
+			if got := lt.Network.MemorySize(0); got != n {
+				t.Fatalf("alpha memory of a holds %d rows after %d inserts: propagate did not run exactly once per token", got, n)
+			}
+		})
+	}
 }
 
 func checkSequential(t *testing.T, src string, got []int64, n int) {

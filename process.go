@@ -77,12 +77,13 @@ func (s *System) taskPri(src int32) taskq.Priority {
 	return taskq.High
 }
 
-// apply accepts an admitted update descriptor: it is enqueued (persistent
-// or memory queue per Figure 1) and either processed inline
-// (Synchronous) or handed to the task queue as a process-one-token task
-// (task type 1 of §6). No closed check here: Close drains the pool, and
-// tokens cascaded by in-flight actions must still be accepted during
-// that drain or they would be lost mid-shutdown.
+// apply accepts an admitted update descriptor into the one token
+// pipeline, enqueue → pump → (hop) → stage → fire: it is enqueued
+// (persistent or memory queue per Figure 1) and a pump is run — inline
+// when Synchronous, else as a process-token task — to take it out
+// again. No closed check here: Close drains the pool, and tokens
+// cascaded by in-flight actions must still be accepted during that
+// drain or they would be lost mid-shutdown.
 func (s *System) apply(tok datasource.Token) error {
 	return s.applyTraced(tok, 0, 0)
 }
@@ -110,36 +111,20 @@ func (s *System) applyTraced(tok datasource.Token, parent uint64, flags byte) er
 	sp.Mark(trace.StageCapture)
 	s.tracer.Attach(queued.Seq, sp)
 	s.cTokensIn.Inc()
-	if s.opts.Synchronous {
-		_, err := s.queueRetry.Do(s.consumeOne)
+	// Either way the retry covers transient *dequeue* failures only: the
+	// tokens are still queued, so pumping again finds them. A token that
+	// did leave the queue is stage's, so a re-run can never strand one.
+	if s.pool == nil {
+		_, err := s.queueRetry.Do(func() error { return s.pump(taskq.NoSlot) })
 		return err
 	}
-	if s.partitions > 1 {
-		// Condition-level concurrency (task type 3): the token is
-		// dequeued once, then matched partition-by-partition in
-		// parallel tasks.
-		return s.submitPartitionedToken()
-	}
-	if s.opts.SourceFIFO {
-		// Ordered mode: the task dispatches dequeued tokens into
-		// per-source serial tasks, preserving each source's enqueue
-		// order across drivers and stealing.
-		return s.pool.Submit(taskq.Task{
-			Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID),
-			Pri:   s.taskPri(tok.SourceID),
-			Retry: &s.queueRetry, Run: s.dispatchOrdered,
-		})
-	}
-	// Task-level retry covers transient *dequeue* failures (the tokens
-	// are still queued, so re-running the task finds them again). Once a
-	// token is dequeued, consumeBatch handles its failures itself, so a
-	// re-run can never strand a dequeued token. The key routes the task
-	// to the source's home shard: one source's tokens drain from one
-	// queue (and batch together), while idle drivers steal across.
+	// The key routes the task to the source's home shard: one source's
+	// tokens drain from one queue (and batch together), while idle
+	// drivers steal across.
 	return s.pool.Submit(taskq.Task{
 		Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID),
 		Pri:   s.taskPri(tok.SourceID),
-		Retry: &s.queueRetry, RunSlot: s.consumeBatch,
+		Retry: &s.queueRetry, RunSlot: s.pump,
 	})
 }
 
@@ -147,159 +132,125 @@ func (s *System) applyTraced(tok datasource.Token, parent uint64, flags byte) er
 // (taskq treats key 0 as "unkeyed").
 func sourceKey(id int32) int64 { return int64(id) + 1 }
 
-// consumeOne dequeues and fully processes one token. An error return
-// means the dequeue itself failed and the token is still in the queue;
-// processing failures past that point are retried and then
-// dead-lettered here, never returned.
-func (s *System) consumeOne() error {
-	tok, ok, err := s.queue.Dequeue()
-	if err != nil {
-		return fmt.Errorf("dequeue: %w", err)
+// pump dequeues up to tokenBatch tokens and sends each down the rest of
+// the pipeline in queue order (task type 1 of §6). Tracing and
+// attribution stay per-token: every token has its own span. An error
+// return means the dequeue itself failed; tokens returned alongside it
+// have already left the queue, so they are sent on before the error is
+// surfaced for retry. An ordered pump holds dispatchMu across the
+// batch, so its tokens reach the task queue (see hop) in dequeue order.
+func (s *System) pump(slot int) error {
+	if s.ordered {
+		s.dispatchMu.Lock()
+		defer s.dispatchMu.Unlock()
 	}
-	if !ok {
-		return nil
-	}
-	s.handleToken(tok, -1, taskq.NoSlot, s.tracer.Dequeued(tok.Seq))
-	return nil
-}
-
-// consumeBatch dequeues up to tokenBatch tokens and fully processes
-// each in order. Tracing and attribution stay per-token: every token
-// gets its own span and dead-letter handling. Tokens returned alongside
-// a dequeue error have already left the queue, so they are processed
-// before the error is surfaced for task-level retry.
-func (s *System) consumeBatch(slot int) error {
 	batch, err := s.queue.DequeueBatch(s.tokenBatch)
 	if len(batch) > 0 {
 		s.cBatches.Inc()
 		s.cBatchTokens.Add(int64(len(batch)))
-		for _, tok := range batch {
-			s.handleToken(tok, -1, slot, s.tracer.Dequeued(tok.Seq))
+	}
+	for _, tok := range batch {
+		sp := s.tracer.Dequeued(tok.Seq)
+		if s.ordered {
+			s.hop(tok, sp)
+		} else {
+			s.stage(tok, predindex.AllParts, slot, sp)
 		}
-	}
-	if err != nil {
-		return fmt.Errorf("dequeue: %w", err)
-	}
-	return nil
-}
-
-// dispatchOrdered implements SourceFIFO: one locked step dequeues a
-// batch and submits each token as a serial task keyed by its source, so
-// per-source submission order equals dequeue order equals enqueue
-// order, and taskq's serial-key discipline carries that order through
-// to execution even with work stealing. A token whose serial submission
-// fails has already left the queue and is quarantined, preserving the
-// fire-or-dead-letter invariant.
-func (s *System) dispatchOrdered() error {
-	s.dispatchMu.Lock()
-	defer s.dispatchMu.Unlock()
-	batch, err := s.queue.DequeueBatch(s.tokenBatch)
-	if len(batch) > 0 {
-		s.cBatches.Inc()
-		s.cBatchTokens.Add(int64(len(batch)))
-		for _, tok := range batch {
-			tok := tok
-			sp := s.tracer.Dequeued(tok.Seq)
-			// Traced tokens time their serial task's run-queue wait — the
-			// scheduler half of the queue-wait decomposition (StageDequeue
-			// covered the token-queue half).
-			var submitAt time.Time
-			if sp != nil {
-				submitAt = time.Now()
-			}
-			serr := s.pool.Submit(taskq.Task{
-				Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID), Serial: true,
-				Pri: s.taskPri(tok.SourceID),
-				RunSlot: func(slot int) error {
-					if sp != nil {
-						sp.Observe(trace.StageTaskWait, time.Since(submitAt))
-					}
-					s.handleToken(tok, -1, slot, sp)
-					return nil
-				},
-			})
-			if serr != nil {
-				s.quarantine(catalog.DeadToken, 0, tok, serr, 1)
-				sp.Finish()
-			}
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("dequeue: %w", err)
-	}
-	return nil
-}
-
-// handleToken runs the §5.4 token algorithm under the queue retry
-// policy. The token has already left the queue, so on exhaustion or a
-// permanent fault it is quarantined in the dead-letter table — the
-// invariant is fire-or-dead-letter, never silently dropped. Retries
-// re-run the whole pass; alpha-memory maintenance is not idempotent
-// under partial failure, so delivery is at-least-once.
-func (s *System) handleToken(tok datasource.Token, part, slot int, sp *trace.Span) {
-	defer sp.Finish()
-	attempts, err := s.queueRetry.Do(func() error {
-		return s.processToken(tok, part, slot, sp)
-	})
-	if err != nil {
-		s.quarantine(catalog.DeadToken, 0, tok, err, attempts)
-	}
-}
-
-// submitPartitionedToken dequeues one token and fans its condition
-// testing out across partitions.
-func (s *System) submitPartitionedToken() error {
-	tok, ok, err := s.queue.Dequeue()
-	if err != nil || !ok {
-		return err
-	}
-	sp := s.tracer.Dequeued(tok.Seq)
-	// The maintenance and aggregate passes must happen exactly once, not
-	// per partition; run them first, then fan out fire-only partition
-	// tasks. The token has left the queue, so failure here dead-letters
-	// it rather than dropping it.
-	attempts, err := s.queueRetry.Do(func() error {
-		return s.propagateToken(tok, taskq.NoSlot, sp)
-	})
-	if err != nil {
-		s.quarantine(catalog.DeadToken, 0, tok, err, attempts)
 		sp.Finish()
-		return nil
 	}
-	pri := s.taskPri(tok.SourceID)
-	var submitAt time.Time
-	if sp != nil {
-		submitAt = time.Now()
+	if err != nil {
+		return fmt.Errorf("dequeue: %w", err)
 	}
-	for p := 0; p < s.partitions; p++ {
-		part := p
-		sp.Retain()
-		if err := s.pool.Submit(taskq.Task{
-			Kind: taskq.TokenConditions, Retry: &s.queueRetry, Pri: pri,
-			RunSlot: func(slot int) error {
-				if sp != nil {
-					sp.Observe(trace.StageTaskWait, time.Since(submitAt))
-				}
-				return s.fireMatches(tok, part, slot, sp)
-			},
-			OnDone: func(error) { sp.Finish() },
-		}); err != nil {
-			sp.Finish() // the retain for the failed submission
-			sp.Finish() // the dequeue reference
-			return err
-		}
-	}
-	sp.Finish()
 	return nil
 }
 
-// processToken is the §5.4 algorithm: maintenance pass for alpha
-// memories and aggregate state, then match-and-fire.
-func (s *System) processToken(tok datasource.Token, part, slot int, sp *trace.Span) error {
-	if err := s.propagateToken(tok, slot, sp); err != nil {
-		return err
+// hop is SourceFIFO's step between dequeue and stage: the token is
+// submitted as a serial task keyed by its source, so per-source
+// submission order equals dequeue order equals enqueue order, and
+// taskq's serial-key discipline carries that order through to
+// execution even with work stealing. A token whose submission fails
+// has left the queue without reaching stage, and is quarantined here
+// to keep the fire-or-dead-letter invariant.
+func (s *System) hop(tok datasource.Token, sp *trace.Span) {
+	err := s.submitSpanned(taskq.Task{
+		Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID), Serial: true,
+		Pri: s.taskPri(tok.SourceID),
+	}, sp, func(slot int) error {
+		s.stage(tok, predindex.AllParts, slot, sp)
+		return nil
+	})
+	if err != nil {
+		s.quarantine(catalog.DeadToken, 0, tok, err, 1)
 	}
-	return s.fireMatches(tok, part, slot, sp)
+}
+
+// submitSpanned submits t to run fn on behalf of a token whose span is
+// sp. A traced token's task holds its own span reference until it is
+// done (it may outlive the caller's), and times its run-queue wait —
+// the scheduler half of the queue-wait decomposition (StageDequeue
+// covered the token-queue half).
+func (s *System) submitSpanned(t taskq.Task, sp *trace.Span, fn func(slot int) error) error {
+	t.RunSlot = fn
+	if sp != nil {
+		sp.Retain()
+		submitAt := time.Now()
+		t.RunSlot = func(slot int) error {
+			sp.Observe(trace.StageTaskWait, time.Since(submitAt))
+			return fn(slot)
+		}
+		t.OnDone = func(error) { sp.Finish() }
+	}
+	err := s.pool.Submit(t)
+	if err != nil {
+		sp.Finish()
+	}
+	return err
+}
+
+// stage runs a dequeued token's work — the §5.4 algorithm — under the
+// queue retry policy, and is the one place that work is retried and
+// given up on. For the whole token (part is AllParts) that is the
+// propagation pass, exactly once, then match-and-fire: inline over
+// every partition, or fanned out as one token-conditions task per
+// partition (task type 3), each of which stages its own part. The
+// token has already left the queue, so on exhaustion or a permanent
+// fault it is quarantined in the dead-letter table — the invariant is
+// fire-or-dead-letter, never silently dropped. Retries re-run the
+// whole pass; alpha-memory maintenance is not idempotent under partial
+// failure, so delivery is at-least-once.
+func (s *System) stage(tok datasource.Token, part, slot int, sp *trace.Span) {
+	attempts, err := s.queueRetry.Do(func() error {
+		if part == predindex.AllParts {
+			if err := s.propagateToken(tok, slot, sp); err != nil {
+				return err
+			}
+			if s.fanOut {
+				return s.fanOutParts(tok, sp)
+			}
+		}
+		return s.fireMatches(tok, part, slot, sp)
+	})
+	if err != nil {
+		s.quarantine(catalog.DeadToken, 0, tok, err, attempts)
+	}
+}
+
+// fanOutParts submits one token-conditions task per partition. A
+// failed submission fails the whole token: partitions already
+// submitted still fire, and stage dead-letters the token so the rest
+// are not lost.
+func (s *System) fanOutParts(tok datasource.Token, sp *trace.Span) error {
+	pri := s.taskPri(tok.SourceID)
+	for p := 0; p < s.partitions; p++ {
+		if err := s.submitSpanned(taskq.Task{Kind: taskq.TokenConditions, Pri: pri}, sp,
+			func(slot int) error {
+				s.stage(tok, p, slot, sp)
+				return nil
+			}); err != nil {
+			return fmt.Errorf("partition %d of %d: %w", p, s.partitions, err)
+		}
+	}
+	return nil
 }
 
 // propagateToken is the propagation pass — alpha-memory maintenance
@@ -334,22 +285,15 @@ func (s *System) processAggregates(tok datasource.Token, slot int, sp *trace.Spa
 	}
 	oldMatch := map[uint64]bool{}
 	newMatch := map[uint64]bool{}
-	if tok.Op != datasource.OpInsert && tok.Old != nil {
-		probe := datasource.Token{SourceID: tok.SourceID, Op: datasource.OpDelete, Old: tok.Old}
-		if err := s.pidx.MatchTokenSlot(probe, slot, func(m predindex.Match) bool {
-			if m.Aggregate {
-				oldMatch[m.TriggerID] = true
-			}
-			return true
-		}); err != nil {
-			return err
+	imgs, n := tokenImages(tok)
+	for _, img := range imgs[:n] {
+		into := newMatch
+		if img.Op == datasource.OpDelete {
+			into = oldMatch
 		}
-	}
-	if tok.Op != datasource.OpDelete && tok.New != nil {
-		probe := datasource.Token{SourceID: tok.SourceID, Op: datasource.OpInsert, New: tok.New}
-		if err := s.pidx.MatchTokenSlot(probe, slot, func(m predindex.Match) bool {
+		if err := s.pidx.Match(img, predindex.MatchCtx{Part: predindex.AllParts, Slot: slot}, func(m predindex.Match) bool {
 			if m.Aggregate {
-				newMatch[m.TriggerID] = true
+				into[m.TriggerID] = true
 			}
 			return true
 		}); err != nil {
@@ -412,6 +356,22 @@ func (s *System) processAggregates(tok datasource.Token, slot int, sp *trace.Spa
 	return nil
 }
 
+// tokenImages splits a token into the tuple images the maintenance
+// passes probe the index with, removals first: the old image as a
+// delete (delete and update tokens), then the new image as an insert
+// (insert and update tokens).
+func tokenImages(tok datasource.Token) (imgs [2]datasource.Token, n int) {
+	if tok.Op != datasource.OpInsert && tok.Old != nil {
+		imgs[n] = datasource.Token{SourceID: tok.SourceID, Op: datasource.OpDelete, Old: tok.Old}
+		n++
+	}
+	if tok.Op != datasource.OpDelete && tok.New != nil {
+		imgs[n] = datasource.Token{SourceID: tok.SourceID, Op: datasource.OpInsert, New: tok.New}
+		n++
+	}
+	return imgs, n
+}
+
 // maintainMemories keeps multi-variable triggers' join state
 // consistent: tuples enter an alpha memory when they pass the
 // variable's selection predicate and leave when they stop passing it
@@ -427,10 +387,10 @@ func (s *System) maintainMemories(tok datasource.Token, slot int, sp *trace.Span
 	if !hasMulti {
 		return nil
 	}
-	// Removals: old image matched (delete and update tokens).
-	if tok.Op != datasource.OpInsert && tok.Old != nil {
-		oldProbe := datasource.Token{SourceID: tok.SourceID, Op: datasource.OpDelete, Old: tok.Old}
-		err := s.pidx.MatchTokenSlot(oldProbe, slot, func(m predindex.Match) bool {
+	imgs, n := tokenImages(tok)
+	for _, img := range imgs[:n] {
+		removal := img.Op == datasource.OpDelete
+		err := s.pidx.Match(img, predindex.MatchCtx{Part: predindex.AllParts, Slot: slot}, func(m predindex.Match) bool {
 			if !m.MultiVar {
 				return true
 			}
@@ -440,42 +400,16 @@ func (s *System) maintainMemories(tok datasource.Token, slot int, sp *trace.Span
 					// Retraction fires only for genuine delete tokens
 					// whose fire mask accepts deletes.
 					var pnode discrim.PNode
-					if tok.Op == datasource.OpDelete && m.FireMask.Matches(tok) && s.cat.IsFireable(m.TriggerID) {
+					if (!removal || tok.Op == datasource.OpDelete) && m.FireMask.Matches(tok) && s.cat.IsFireable(m.TriggerID) {
 						pnode = s.comboRunner(lt, tok, sp)
 						s.cTokensMatch.Inc()
 					}
-					if err := lt.Gator.NotifyToken(int(m.NextNode), oldProbe, pnode); err != nil {
+					if err := lt.Gator.NotifyToken(int(m.NextNode), img, pnode); err != nil {
 						s.noteErrorAt("gator", m.TriggerID, err)
 					}
-				case lt.Network != nil:
+				case removal:
 					lt.Network.RemoveTuple(int(m.NextNode), tok.Old)
-				}
-			})
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	// Additions: new image matches (insert and update tokens).
-	if tok.Op != datasource.OpDelete && tok.New != nil {
-		newProbe := datasource.Token{SourceID: tok.SourceID, Op: datasource.OpInsert, New: tok.New}
-		err := s.pidx.MatchTokenSlot(newProbe, slot, func(m predindex.Match) bool {
-			if !m.MultiVar {
-				return true
-			}
-			s.withNetwork(m.TriggerID, func(lt catalog.LoadedTrigger) {
-				switch {
-				case lt.Gator != nil:
-					var pnode discrim.PNode
-					if m.FireMask.Matches(tok) && s.cat.IsFireable(m.TriggerID) {
-						pnode = s.comboRunner(lt, tok, sp)
-						s.cTokensMatch.Inc()
-					}
-					if err := lt.Gator.NotifyToken(int(m.NextNode), newProbe, pnode); err != nil {
-						s.noteErrorAt("gator", m.TriggerID, err)
-					}
-				case lt.Network != nil:
+				default:
 					lt.Network.AddTuple(int(m.NextNode), tok.New)
 				}
 			})
@@ -517,30 +451,20 @@ func (s *System) comboRunner(lt catalog.LoadedTrigger, tok datasource.Token, sp 
 }
 
 // fireMatches matches the token's effective image against the predicate
-// index (optionally one partition) and fires each matching trigger whose
-// fire mask accepts the token.
+// index (one partition, or AllParts) and fires each matching trigger
+// whose fire mask accepts the token.
 func (s *System) fireMatches(tok datasource.Token, part, slot int, sp *trace.Span) error {
 	var begin time.Time
 	if sp != nil {
 		begin = time.Now()
 	}
 	var matched []predindex.Match
-	var err error
-	if part < 0 {
-		err = s.pidx.MatchTokenSlot(tok, slot, func(m predindex.Match) bool {
-			if m.FireMask.Matches(tok) {
-				matched = append(matched, m)
-			}
-			return true
-		})
-	} else {
-		err = s.pidx.MatchTokenPartitionSlot(tok, part, slot, func(m predindex.Match) bool {
-			if m.FireMask.Matches(tok) {
-				matched = append(matched, m)
-			}
-			return true
-		})
-	}
+	err := s.pidx.Match(tok, predindex.MatchCtx{Part: part, Slot: slot}, func(m predindex.Match) bool {
+		if m.FireMask.Matches(tok) {
+			matched = append(matched, m)
+		}
+		return true
+	})
 	if sp != nil {
 		sp.Observe(trace.StageMatch, time.Since(begin))
 	}
@@ -635,7 +559,7 @@ func (s *System) runCombo(lt catalog.LoadedTrigger, tok datasource.Token, tuples
 		}
 		exe = &e
 	}
-	run := func() error {
+	run := func(int) error {
 		s.cActionsRun.Inc()
 		// Timed unconditionally: the elapsed wall time feeds both the
 		// sampled trace span and the always-on per-trigger attribution.
@@ -659,38 +583,18 @@ func (s *System) runCombo(lt catalog.LoadedTrigger, tok datasource.Token, tuples
 		}
 		return nil
 	}
-	if s.opts.Synchronous || s.pool == nil || !s.opts.ActionTasks {
+	if s.pool == nil || !s.opts.ActionTasks {
 		// Task type 4: the token's actions run inside its own task.
-		return run()
+		return run(taskq.NoSlot)
 	}
-	// Rule action concurrency (task type 2 of §6): the task holds a
-	// span reference, because it may outlive the token task that
-	// spawned it. The action inherits the *trigger's* declared class,
-	// not the source's — a batch trigger on a shared source must not
-	// ride the interactive queue.
+	// Rule action concurrency (task type 2 of §6). The action inherits
+	// the *trigger's* declared class, not the source's — a batch trigger
+	// on a shared source must not ride the interactive queue.
 	pri := taskq.High
 	if lt.Info.Class == admission.Batch {
 		pri = taskq.Low
 	}
-	sp.Retain()
-	var submitAt time.Time
-	if sp != nil {
-		submitAt = time.Now()
-	}
-	err := s.pool.Submit(taskq.Task{
-		Kind: taskq.RunAction, Pri: pri,
-		Run: func() error {
-			if sp != nil {
-				sp.Observe(trace.StageTaskWait, time.Since(submitAt))
-			}
-			return run()
-		},
-		OnDone: func(error) { sp.Finish() },
-	})
-	if err != nil {
-		sp.Finish()
-	}
-	return err
+	return s.submitSpanned(taskq.Task{Kind: taskq.RunAction, Pri: pri}, sp, run)
 }
 
 // CapturingRunner wraps the database so execSQL actions generate update

@@ -111,9 +111,11 @@ type Options struct {
 	// Off by default: updates are group-flushed like the host DBMS's
 	// buffered writes.
 	DurableQueue bool
-	// Synchronous processes each token inline in the caller instead of
-	// through the task queue (deterministic; used by tests and when
-	// embedding in single-threaded tools).
+	// Synchronous runs the token pipeline on the caller's goroutine, one
+	// token per capture call, instead of through the task queue
+	// (deterministic; used by tests and when embedding in single-threaded
+	// tools). There is no driver pool, so SourceFIFO, ConditionPartitions
+	// fan-out and ActionTasks have nothing to schedule and run inline.
 	Synchronous bool
 	// ActionTasks runs every fired action as its own task (task type 2
 	// of §6, rule-action concurrency). The default runs a token's
@@ -127,26 +129,25 @@ type Options struct {
 	// per-token.
 	TokenBatch int
 	// SourceFIFO makes each data source's tokens process strictly in
-	// enqueue order: tokens are dispatched through per-source serial
+	// enqueue order: dequeued tokens hop through per-source serial
 	// tasks, so two tokens from one source never run concurrently (and
 	// never reorder), while different sources still process in parallel.
 	// Without it, same-source tokens may process concurrently across
 	// drivers — higher throughput, no cross-token ordering guarantee.
-	// Applies to the asynchronous, non-partitioned pipeline; ignored
-	// under Synchronous or ConditionPartitions > 1, which have their own
-	// ordering behavior.
+	// Ordering wins over condition-level concurrency: with SourceFIFO
+	// set, ConditionPartitions still partitions the index but a token's
+	// partitions are matched in one pass inside its serial task.
 	SourceFIFO bool
 	// Policy overrides the constant-set organization thresholds.
 	Policy *predindex.Policy
 	// CostModel derives the organization thresholds from the [Hans98b]
 	// cost model instead of raw cutoffs; ignored when Policy is set.
 	CostModel *predindex.CostModel
-	// ForceOrganization pins every constant set to one strategy
-	// (benchmarks).
-	ForceOrganization predindex.Organization
 	// ConditionPartitions > 1 splits every signature's triggerID sets
-	// round-robin and processes partitions as separate tasks
-	// (condition-level concurrency, Figure 5). Applies to new triggers.
+	// round-robin and matches each partition of a token as a separate
+	// task (condition-level concurrency, Figure 5) — unless Synchronous
+	// or SourceFIFO is set, which match the partitions inline. Applies
+	// to new triggers.
 	ConditionPartitions int
 	// GatorNetworks runs multi-variable triggers through Gator networks
 	// (cached join state, the paper's planned [Hans97b] upgrade) instead
@@ -195,9 +196,6 @@ type Options struct {
 	// SLOWindows overrides the multi-window burn-rate pairs (default
 	// fast 5m/1h at 14.4× and slow 6h/3d at 1×).
 	SLOWindows []slo.WindowPair
-	// RuntimeSampleEvery is the runtime telemetry sampling interval
-	// (GC pause, heap, allocs per token; default 5s).
-	RuntimeSampleEvery time.Duration
 	// ReconcileEvery is the phase-reconciliation epoch: how often hot
 	// counters' per-driver slices (predicate-index probe/match tallies,
 	// profiler sketch cells) fold into their base cells and refresh the
@@ -330,10 +328,17 @@ type System struct {
 	interSources map[int32]int
 	batchSources map[int32]int
 	partitions   int
-	tokenBatch   int
-	// dispatchMu serializes SourceFIFO dispatch: dequeue-batch and the
-	// per-token serial submissions happen as one atomic step, so tokens
-	// reach the task queue in dequeue order.
+	// The token pipeline's shape (process.go), resolved once at Open:
+	// tokenBatch is how many tokens one pump dequeues, ordered puts the
+	// per-source serial hop between dequeue and stage (SourceFIFO), and
+	// fanOut matches a token's partitions as separate tasks. Both need
+	// the pool, and ordering wins over fan-out.
+	tokenBatch int
+	ordered    bool
+	fanOut     bool
+	// dispatchMu makes an ordered pump's dequeue-batch and per-token
+	// serial submissions one atomic step, so tokens reach the task queue
+	// in dequeue order.
 	dispatchMu sync.Mutex
 
 	// met is the process-wide instrument registry; the headline
@@ -470,7 +475,7 @@ func Open(opts Options) (*System, error) {
 	}
 	var prof *profile.Profiler
 	if !opts.DisableProfiling {
-		prof = profile.NewSliced(opts.ProfileCapacity, slots)
+		prof = profile.New(opts.ProfileCapacity, slots)
 	}
 	elog := eventlog.New(eventlog.Config{Out: opts.EventLogOut, Ring: opts.EventLogRing})
 	pidxOpts := []predindex.Option{predindex.WithDB(db), predindex.WithMetrics(met), predindex.WithSlots(slots)}
@@ -479,9 +484,6 @@ func Open(opts Options) (*System, error) {
 		pidxOpts = append(pidxOpts, predindex.WithPolicy(*opts.Policy))
 	case opts.CostModel != nil:
 		pidxOpts = append(pidxOpts, predindex.WithCostModel(*opts.CostModel))
-	}
-	if opts.ForceOrganization != predindex.OrgAuto {
-		pidxOpts = append(pidxOpts, predindex.WithForcedOrganization(opts.ForceOrganization))
 	}
 	if prof != nil {
 		pidxOpts = append(pidxOpts, predindex.WithProfile(prof))
@@ -528,8 +530,13 @@ func Open(opts Options) (*System, error) {
 		batchSources:    make(map[int32]int),
 		partitions:      opts.ConditionPartitions,
 		tokenBatch:      opts.TokenBatch,
+		ordered:         opts.SourceFIFO && !opts.Synchronous,
 	}
-	if sys.tokenBatch <= 0 {
+	sys.fanOut = sys.partitions > 1 && !opts.Synchronous && !opts.SourceFIFO
+	switch {
+	case opts.Synchronous:
+		sys.tokenBatch = 1
+	case sys.tokenBatch <= 0:
 		sys.tokenBatch = 16
 	}
 	// The tracer resolves each token's priority class at Begin so
@@ -647,7 +654,6 @@ func Open(opts Options) (*System, error) {
 		sys.sloEng = eng
 		rts := slo.NewRuntimeSampler(slo.RuntimeConfig{
 			Registry: met,
-			Interval: opts.RuntimeSampleEvery,
 			Tokens:   sys.cTokensIn.Value,
 		})
 		rts.Start()
