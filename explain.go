@@ -62,7 +62,7 @@ type indexzPayload struct {
 // ContentionStats pairs the system's two phase-reconciliation domains:
 // the predicate index's per-signature and per-constant counters, and
 // the cost-attribution sketch's per-trigger cells. Both share the
-// driver pool's slot geometry and the ReconcileEvery epoch clock.
+// driver pool's slot geometry and the 100ms reconcile epoch clock.
 type ContentionStats struct {
 	Index   phasecounter.DomainStats `json:"index"`
 	Profile phasecounter.DomainStats `json:"profile"`

@@ -194,7 +194,18 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 			if vi < 0 {
 				return fmt.Errorf("catalog: cannot resolve selection variable for %s", g.CNF())
 			}
-			selections[vi].Clauses = append(selections[vi].Clauses, g.Clauses...)
+			for _, cl := range g.Clauses {
+				if len(ct.From) > 1 && refersToOld(cl) {
+					// A transition condition is a fact about the event, not
+					// about the row, so it cannot decide what an alpha
+					// memory holds: the network tests it with the catch-all,
+					// against the seeding variable's old image, when it
+					// fires.
+					catchAll.Clauses = append(catchAll.Clauses, cl)
+				} else {
+					selections[vi].Clauses = append(selections[vi].Clauses, cl)
+				}
+			}
 		case expr.Join:
 			a, b := c.varsOfJoin(g)
 			if a < 0 || b < 0 {
@@ -355,6 +366,18 @@ func normalizeVarIdx(sel expr.CNF, vi int) expr.CNF {
 		out.Clauses[i] = expr.Clause{Atoms: atoms}
 	}
 	return out
+}
+
+// refersToOld reports whether a clause reads a pre-update image.
+func refersToOld(cl expr.Clause) bool {
+	old := false
+	expr.Walk(cl.Node(), func(n expr.Node) bool {
+		if ref, ok := n.(*expr.ColumnRef); ok && ref.Old {
+			old = true
+		}
+		return !old
+	})
+	return old
 }
 
 // varOf finds the (single) bound variable index of a selection group.

@@ -356,9 +356,9 @@ type TableQueue struct {
 }
 
 // commitGroup is the leader/follower state for group-committed flushes.
-// It is deliberately separate from TableQueue.mu: flushing happens with
-// the queue unlocked, so enqueues and dequeues proceed while the disk
-// syncs.
+// It is deliberately separate from TableQueue.mu: a round takes the
+// queue lock only to write its pages back, so enqueues and dequeues
+// proceed while the disk syncs.
 type commitGroup struct {
 	mu       sync.Mutex
 	flushing bool
@@ -404,14 +404,20 @@ func (q *TableQueue) flushGroup(page storage.PageID) error {
 		g.waiters = nil
 		g.mu.Unlock()
 
+		// The pages are copied out under the lock that guards the heap: a
+		// concurrent Enqueue or Dequeue rewrites these same pages in place,
+		// and a write-back racing it could put a torn image on disk and
+		// then mark the frame clean.
 		var err error
+		q.mu.Lock()
 		for p := range pages {
 			if e := q.bp.WriteBack(p); e != nil && err == nil {
 				err = e
 			}
 		}
+		q.mu.Unlock()
 		// One sync covers every page in the round — this is the whole
-		// saving over flush-per-enqueue.
+		// saving over flush-per-enqueue — and runs with the queue unlocked.
 		if e := q.bp.Disk().Sync(); e != nil && err == nil {
 			err = e
 		}
@@ -476,8 +482,8 @@ func OpenTableQueue(bp *storage.BufferPool, first storage.PageID) (*TableQueue, 
 func (q *TableQueue) FirstPage() storage.PageID { return q.heap.FirstPage() }
 
 // Enqueue implements Queue. The heap insert happens under the queue
-// lock; the durability flush happens outside it through the commit
-// group, so concurrent enqueues coalesce their disk waits.
+// lock; the durability flush goes through the commit group after it is
+// released, so concurrent enqueues coalesce their disk waits.
 func (q *TableQueue) Enqueue(t Token) (Token, error) {
 	q.mu.Lock()
 	q.seq++

@@ -759,7 +759,6 @@ func (ix *Index) Match(tok datasource.Token, ctx MatchCtx, fn func(Match) bool) 
 	pc := probe{dom: ix.dom, slot: slot}
 	ix.stats.tokens.Add(pc.dom, slot, 1)
 	tuple := tok.Effective()
-	env := expr.SingleEnv{New: tuple, Old: tok.Old}
 	var sigProbes, restTests, matches int64
 	stop := false
 	for _, e := range sigs {
@@ -777,7 +776,7 @@ func (ix *Index) Match(tok datasource.Token, ctx MatchCtx, fn func(Match) bool) 
 		// and per-probe tallies are phase-reconciled counters, so the only
 		// shared read-modify-write left on this path is the lock word
 		// itself. Match callbacks must not mutate this entry (the system
-		// buffers matches and fires after the probe returns).
+		// buffers matches and routes them after the probe returns).
 		e.mu.RLock()
 		set := e.set
 		parts := e.partitions
@@ -796,7 +795,14 @@ func (ix *Index) Match(tok datasource.Token, ctx MatchCtx, fn func(Match) bool) 
 		compares, err := set.match(tuple, probePart, pc, func(ref Ref) bool {
 			if len(ref.Rest.Clauses) > 0 {
 				restTests++
-				ok, err := expr.EvalPredicate(ref.Rest.Node(), env)
+				old := tok.Old
+				if ref.Aggregate {
+					// What a group holds is a property of its rows, not of
+					// how they got there: :OLD reads NULL. (The catalog keeps
+					// :OLD out of a multi-variable ref's Rest.)
+					old = nil
+				}
+				ok, err := expr.EvalPredicate(ref.Rest.Node(), expr.SingleEnv{New: tuple, Old: old})
 				if err != nil || ok != expr.True {
 					// Charge the failed probe on this cold branch; the hot
 					// (matching) branch folds probe+match into one lookup.

@@ -40,12 +40,15 @@ const (
 	// the driver pool's run queue between submit and first run —
 	// scheduler wait, distinct from the token queue's StageDequeue.
 	StageTaskWait
-	// StageMatch is the predicate-index probe (§5.4's match pass).
+	// StageMatch is the predicate-index probes (§5.4's match pass): one
+	// per image of the token, matches buffered and nothing else. A token
+	// fanned out over partitions observes it once per step that probes.
 	StageMatch
-	// StagePropagate is alpha-memory maintenance plus incremental
-	// aggregate upkeep — the join/A-TREAT propagation pass. For Gator
-	// triggers it includes in-network firing, which happens at
-	// propagation time.
+	// StagePropagate is routing the buffered matches to the state they
+	// name: alpha-memory maintenance plus incremental aggregate upkeep.
+	// For Gator triggers it includes in-network firing, which happens at
+	// propagation time. Observed once on every traced token, near zero
+	// when the source feeds no network or aggregate.
 	StagePropagate
 	// StageAction is rule-action execution (one observation per
 	// firing, retries included).

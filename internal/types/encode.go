@@ -54,6 +54,11 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 		return nil, 0, fmt.Errorf("types: tuple header truncated (%d bytes)", len(buf))
 	}
 	n := int(binary.LittleEndian.Uint16(buf[:2]))
+	// Every column takes at least its kind byte, so a count the buffer
+	// cannot hold is garbage — refuse it before it sizes an allocation.
+	if n > len(buf)-2 {
+		return nil, 0, fmt.Errorf("types: tuple header claims %d columns in %d bytes", n, len(buf)-2)
+	}
 	pos := 2
 	t := make(Tuple, 0, n)
 	for c := 0; c < n; c++ {

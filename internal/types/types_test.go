@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -382,5 +383,21 @@ func TestDecodeTupleNeverPanicsOnGarbage(t *testing.T) {
 			}()
 			DecodeTuple(buf)
 		}()
+	}
+}
+
+// A two-byte buffer whose header claims 65,535 columns must be refused
+// from the header alone, not after sizing a tuple for the claim.
+func TestDecodeTupleRefusesImpossibleColumnCount(t *testing.T) {
+	evil := []byte{0xFF, 0xFF}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeTuple(evil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header claiming 65,535 columns in 0 bytes decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Fatalf("decoding a 2-byte buffer allocated %d bytes", got)
 	}
 }

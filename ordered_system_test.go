@@ -3,6 +3,7 @@ package triggerman
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,14 +110,28 @@ func sourceFIFOOrdering(t *testing.T, parts int) {
 // propagation pass runs exactly once — each insert adds one row to the
 // join trigger's alpha memory (a bag, so a second pass would show), on
 // a 2-partition system where match-and-fire runs once per partition.
+//
+// The self-join rows pin the order that pass must keep: the trigger's
+// two variables read one source, their refs sit in different
+// partitions, and both alpha memories must hold the inserted tuple
+// before either variable enumerates, so every insert finds itself on
+// the other side of the join. Firings must equal the nested-loop
+// recompute.
 func TestPropagateOncePerToken(t *testing.T) {
+	const (
+		join     = `create trigger j from a, b when a.x = b.x do raise event J(a.x)`
+		selfJoin = `create trigger j from a l, a r when l.x = r.x do raise event J(l.x)`
+	)
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name    string
+		opts    Options
+		trigger string
 	}{
-		{"default", Options{}},
-		{"SourceFIFO", Options{SourceFIFO: true}},
-		{"Synchronous", Options{Synchronous: true}},
+		{"default", Options{}, join},
+		{"SourceFIFO", Options{SourceFIFO: true}, join},
+		{"Synchronous", Options{Synchronous: true}, join},
+		{"self-join default", Options{}, selfJoin},
+		{"self-join SourceFIFO", Options{SourceFIFO: true}, selfJoin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
@@ -135,12 +150,16 @@ func TestPropagateOncePerToken(t *testing.T) {
 			if _, err := sys.DefineStreamSource("b", types.Column{Name: "x", Kind: types.KindInt}); err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.CreateTrigger(`create trigger j from a, b when a.x = b.x do raise event J(a.x)`); err != nil {
+			if err := sys.CreateTrigger(tc.trigger); err != nil {
 				t.Fatal(err)
 			}
+			var fired atomic.Int64
+			sys.FireHook = func(uint64, []types.Tuple) { fired.Add(1) }
 			const n = 300
-			for i := 0; i < n; i++ {
-				if err := a.Insert(types.Tuple{types.NewInt(int64(i))}); err != nil {
+			xs := make([]int64, n) // distinct, so concurrent tokens never pair
+			for i := range xs {
+				xs[i] = int64(i)
+				if err := a.Insert(types.Tuple{types.NewInt(xs[i])}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -155,6 +174,27 @@ func TestPropagateOncePerToken(t *testing.T) {
 			defer unpin()
 			if got := lt.Network.MemorySize(0); got != n {
 				t.Fatalf("alpha memory of a holds %d rows after %d inserts: propagate did not run exactly once per token", got, n)
+			}
+			if tc.trigger != selfJoin {
+				return
+			}
+			if got := lt.Network.MemorySize(1); got != n {
+				t.Fatalf("alpha memory of the second variable holds %d rows after %d inserts", got, n)
+			}
+			// Recompute: insert i seeds each variable in turn and pairs
+			// with every row so far, itself included, that has its x.
+			var want int64
+			for i := range xs {
+				for seed := 0; seed < 2; seed++ {
+					for j := 0; j <= i; j++ {
+						if xs[j] == xs[i] {
+							want++
+						}
+					}
+				}
+			}
+			if got := fired.Load(); got != want {
+				t.Fatalf("self-join fired %d times over %d inserts, recompute says %d: an insert enumerated before its own tuple was in both memories", got, n, want)
 			}
 		})
 	}

@@ -2,6 +2,8 @@ package triggerman
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"triggerman/internal/admission"
@@ -207,32 +209,140 @@ func (s *System) submitSpanned(t taskq.Task, sp *trace.Span, fn func(slot int) e
 	return err
 }
 
-// stage runs a dequeued token's work — the §5.4 algorithm — under the
-// queue retry policy, and is the one place that work is retried and
-// given up on. For the whole token (part is AllParts) that is the
-// propagation pass, exactly once, then match-and-fire: inline over
-// every partition, or fanned out as one token-conditions task per
-// partition (task type 3), each of which stages its own part. The
-// token has already left the queue, so on exhaustion or a permanent
-// fault it is quarantined in the dead-letter table — the invariant is
-// fire-or-dead-letter, never silently dropped. Retries re-run the
-// whole pass; alpha-memory maintenance is not idempotent under partial
-// failure, so delivery is at-least-once.
+// stage runs a dequeued token's work — route, the §5.4 algorithm —
+// under the queue retry policy, and is the one place that work is
+// retried and given up on. The token has already left the queue, so on
+// exhaustion or a permanent fault it is quarantined in the dead-letter
+// table — the invariant is fire-or-dead-letter, never silently dropped.
+// Retries re-run the whole step; alpha-memory maintenance is not
+// idempotent under partial failure, so delivery is at-least-once.
 func (s *System) stage(tok datasource.Token, part, slot int, sp *trace.Span) {
-	attempts, err := s.queueRetry.Do(func() error {
-		if part == predindex.AllParts {
-			if err := s.propagateToken(tok, slot, sp); err != nil {
-				return err
-			}
-			if s.fanOut {
-				return s.fanOutParts(tok, sp)
-			}
-		}
-		return s.fireMatches(tok, part, slot, sp)
-	})
+	attempts, err := s.queueRetry.Do(func() error { return s.route(tok, part, slot, sp) })
 	if err != nil {
 		s.quarantine(catalog.DeadToken, 0, tok, err, attempts)
 	}
+}
+
+// route is the §5.4 algorithm: probe the predicate index once per image
+// the token has, buffer the matches so the index is released, then hand
+// each match to what its Ref names — a network node (MultiVar), an
+// aggregate state (Aggregate), or the trigger's action.
+//
+// The whole-token step (part is AllParts) owns the state: it probes the
+// token itself and, for an update on a source that feeds a network or
+// an aggregate, the old image too (the only case where two images can
+// match different refs that both matter), brings every alpha memory and
+// group up to date, and only then fires — a self-join's two refs must
+// both see the tuple before either enumerates. With partition fan-out
+// it fires nothing itself: it submits one token-conditions task per
+// partition (task type 3), and each of those routes its own part,
+// firing only. A source with no network or aggregate ref then costs the
+// whole-token step no probe at all.
+func (s *System) route(tok datasource.Token, part, slot int, sp *trace.Span) error {
+	whole := part == predindex.AllParts
+	s.mu.RLock()
+	stateful := whole && s.sources[tok.SourceID].stateful > 0
+	s.mu.RUnlock()
+	fires := !whole || !s.fanOut
+	var ms []predindex.Match
+	nOld := 0
+	if stateful || fires {
+		buf := matchBufs.Get().(*[]predindex.Match)
+		ms = (*buf)[:0]
+		defer func() {
+			*buf = ms[:0]
+			matchBufs.Put(buf)
+		}()
+		var begin time.Time
+		if sp != nil {
+			begin = time.Now()
+		}
+		ctx := predindex.MatchCtx{Part: part, Slot: slot}
+		var err error
+		if stateful && tok.Op == datasource.OpUpdate && tok.Old != nil {
+			ms, err = s.probe(ms, image(tok, true), ctx, false)
+			nOld = len(ms)
+		}
+		if err == nil {
+			ms, err = s.probe(ms, tok, ctx, fires)
+		}
+		if sp != nil {
+			sp.Observe(trace.StageMatch, time.Since(begin))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if whole {
+		var begin time.Time
+		if sp != nil {
+			begin = time.Now()
+		}
+		if stateful {
+			// gone are the matches of the image leaving the source, come
+			// those of the image arriving; a delete token is its own old
+			// image.
+			gone, come := ms[:nOld], ms[nOld:]
+			if tok.Op == datasource.OpDelete {
+				gone, come = come, nil
+			}
+			s.maintain(gone, tok, true, sp)
+			s.maintain(come, tok, false, sp)
+			s.applyAggregates(gone, come, tok, sp)
+		}
+		if sp != nil {
+			sp.Observe(trace.StagePropagate, time.Since(begin))
+		}
+		if s.fanOut {
+			return s.fanOutParts(tok, sp)
+		}
+	}
+	for _, m := range ms[nOld:] {
+		// Gator and aggregate triggers fired during their upkeep.
+		if m.Gator || m.Aggregate || !m.FireMask.Matches(tok) || !s.cat.IsFireable(m.TriggerID) {
+			continue
+		}
+		s.cTokensMatch.Inc()
+		// A transient Pin/Enumerate fault is retried per firing; an
+		// exhausted or permanent one quarantines only this trigger's
+		// firing — the remaining matches still run.
+		attempts, err := s.actionRetry.Do(func() error {
+			return s.fireTrigger(m, tok, sp)
+		})
+		s.prof.ActionRetries(m.TriggerID, attempts)
+		if err != nil {
+			s.quarantine(catalog.DeadAction, m.TriggerID, tok, err, attempts)
+		}
+	}
+	return nil
+}
+
+// matchBufs recycles route's match buffers. A join or aggregate source
+// shows a token dozens of 96-byte matches; grown afresh per token the
+// buffer was a fifth of the bytes such a token allocated.
+var matchBufs = sync.Pool{New: func() any { return new([]predindex.Match) }}
+
+// image is one tuple image of a token as a token of its own: the old
+// image as a delete, the new image as an insert.
+func image(tok datasource.Token, old bool) datasource.Token {
+	if old {
+		return datasource.Token{SourceID: tok.SourceID, Op: datasource.OpDelete, Old: tok.Old}
+	}
+	return datasource.Token{SourceID: tok.SourceID, Op: datasource.OpInsert, New: tok.New}
+}
+
+// probe is the pipeline's one index probe: it appends img's matches to
+// ms — every match when all is set, else only those a network or an
+// aggregate must hear of. The callback runs under the signature entry's
+// read lock, so it buffers and does nothing else.
+func (s *System) probe(ms []predindex.Match, img datasource.Token, ctx predindex.MatchCtx, all bool) ([]predindex.Match, error) {
+	err := s.pidx.Match(img, ctx, func(m predindex.Match) bool {
+		if all || m.MultiVar || m.Aggregate {
+			ms = append(ms, m)
+		}
+		return true
+	})
+	return ms, err
 }
 
 // fanOutParts submits one token-conditions task per partition. A
@@ -253,247 +363,129 @@ func (s *System) fanOutParts(tok datasource.Token, sp *trace.Span) error {
 	return nil
 }
 
-// propagateToken is the propagation pass — alpha-memory maintenance
-// plus incremental aggregate upkeep — timed as the trace's propagate
-// stage. Gator triggers also fire in here (their incremental protocol
-// fires at propagation time).
-func (s *System) propagateToken(tok datasource.Token, slot int, sp *trace.Span) error {
-	var begin time.Time
-	if sp != nil {
-		begin = time.Now()
-	}
-	err := s.maintainMemories(tok, slot, sp)
-	if err == nil {
-		err = s.processAggregates(tok, slot, sp)
-	}
-	if sp != nil {
-		sp.Observe(trace.StagePropagate, time.Since(begin))
-	}
-	return err
-}
-
-// processAggregates feeds group-by/having triggers: tokens whose images
-// pass the trigger's selection update the group's incremental
-// aggregates, and having-condition transitions fire the action with
-// aggregate values substituted in.
-func (s *System) processAggregates(tok datasource.Token, slot int, sp *trace.Span) error {
-	s.mu.RLock()
-	hasAgg := s.aggSources[tok.SourceID] > 0
-	s.mu.RUnlock()
-	if !hasAgg {
-		return nil
-	}
-	oldMatch := map[uint64]bool{}
-	newMatch := map[uint64]bool{}
-	imgs, n := tokenImages(tok)
-	for _, img := range imgs[:n] {
-		into := newMatch
-		if img.Op == datasource.OpDelete {
-			into = oldMatch
-		}
-		if err := s.pidx.Match(img, predindex.MatchCtx{Part: predindex.AllParts, Slot: slot}, func(m predindex.Match) bool {
-			if m.Aggregate {
-				into[m.TriggerID] = true
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-	}
-	touched := map[uint64]bool{}
-	for id := range oldMatch {
-		touched[id] = true
-	}
-	for id := range newMatch {
-		touched[id] = true
-	}
-	for id := range touched {
-		if !s.cat.IsFireable(id) {
-			// Disabled triggers still maintain state? No: like the
-			// paper's isEnabled semantics, disabled triggers are inert.
+// maintain keeps multi-variable triggers' join state consistent with
+// one image of the token: its tuple leaves (removal) or enters the
+// alpha memory of every variable whose selection it matched. A-TREAT
+// triggers only maintain here (route fires them afterwards); Gator
+// triggers maintain AND fire here, because their incremental protocol
+// creates and retracts root combinations at maintenance time.
+func (s *System) maintain(ms []predindex.Match, tok datasource.Token, removal bool, sp *trace.Span) {
+	for _, m := range ms {
+		if !m.MultiVar {
 			continue
 		}
-		lt, unpin, err := s.cat.Pin(id)
+		lt, unpin, err := s.cat.Pin(m.TriggerID)
 		if err != nil {
-			s.noteErrorAt("aggregate", id, err)
+			s.noteErrorAt("match", m.TriggerID, err)
 			continue
 		}
-		if lt.Agg == nil {
-			unpin()
-			continue
-		}
-		var op agg.Op
-		switch tok.Op {
-		case datasource.OpInsert:
-			op = agg.OpInsert
-		case datasource.OpDelete:
-			op = agg.OpDelete
+		switch {
+		case lt.Gator != nil:
+			// Retraction fires only for genuine delete tokens whose fire
+			// mask accepts deletes.
+			var pnode discrim.PNode
+			var ferr error
+			if (!removal || tok.Op == datasource.OpDelete) && m.FireMask.Matches(tok) && s.cat.IsFireable(m.TriggerID) {
+				pnode = s.comboRunner(*lt, tok, sp, &ferr)
+				s.cTokensMatch.Inc()
+			}
+			if err := lt.Gator.NotifyToken(int(m.NextNode), image(tok, removal), pnode); err != nil {
+				s.noteErrorAt("gator", m.TriggerID, err)
+			}
+			if ferr != nil {
+				s.noteErrorAt("action", m.TriggerID, ferr)
+			}
+		case lt.Network == nil: // loaded without a network: nothing to keep
+		case removal:
+			lt.Network.RemoveTuple(int(m.NextNode), tok.Old)
 		default:
-			op = agg.OpUpdate
-		}
-		fires, err := lt.Agg.State.Apply(op, tok.Old, tok.New, oldMatch[id], newMatch[id], lt.Agg.Having)
-		if err != nil {
-			s.noteErrorAt("aggregate", id, err)
-			unpin()
-			continue
-		}
-		for _, f := range fires {
-			s.cTokensMatch.Inc()
-			action, err := agg.SubstituteAction(lt.Action, lt.Agg.Schema, lt.Agg.Specs, f.Aggregates)
-			if err != nil {
-				s.noteErrorAt("aggregate", id, err)
-				continue
-			}
-			ltCopy := *lt
-			ltCopy.Action = action
-			olds := []types.Tuple{tok.Old}
-			if err := s.runCombo(ltCopy, tok, []types.Tuple{f.Representative}, olds, sp); err != nil {
-				s.noteErrorAt("action", id, err)
-			}
+			lt.Network.AddTuple(int(m.NextNode), tok.New)
 		}
 		unpin()
 	}
-	return nil
 }
 
-// tokenImages splits a token into the tuple images the maintenance
-// passes probe the index with, removals first: the old image as a
-// delete (delete and update tokens), then the new image as an insert
-// (insert and update tokens).
-func tokenImages(tok datasource.Token) (imgs [2]datasource.Token, n int) {
-	if tok.Op != datasource.OpInsert && tok.Old != nil {
-		imgs[n] = datasource.Token{SourceID: tok.SourceID, Op: datasource.OpDelete, Old: tok.Old}
-		n++
+// applyAggregates feeds group-by/having triggers. An aggregate trigger
+// has one tuple variable, so it appears at most once per image; an
+// update pairs its two appearances, because the group the old image
+// leaves and the group the new one joins must be judged together. The
+// lists hold dozens of matches, so pairing is a scan.
+func (s *System) applyAggregates(gone, come []predindex.Match, tok datasource.Token, sp *trace.Span) {
+	in := func(ms []predindex.Match, id uint64) bool {
+		return slices.ContainsFunc(ms, func(m predindex.Match) bool { return m.Aggregate && m.TriggerID == id })
 	}
-	if tok.Op != datasource.OpDelete && tok.New != nil {
-		imgs[n] = datasource.Token{SourceID: tok.SourceID, Op: datasource.OpInsert, New: tok.New}
-		n++
-	}
-	return imgs, n
-}
-
-// maintainMemories keeps multi-variable triggers' join state
-// consistent: tuples enter an alpha memory when they pass the
-// variable's selection predicate and leave when they stop passing it
-// (or are deleted). A-TREAT triggers only maintain here (firing happens
-// in fireMatches); Gator triggers maintain AND fire here, because their
-// incremental protocol creates/retracts root combinations at
-// maintenance time. Sources with no multi-variable triggers skip this
-// pass.
-func (s *System) maintainMemories(tok datasource.Token, slot int, sp *trace.Span) error {
-	s.mu.RLock()
-	hasMulti := s.multiVarSources[tok.SourceID] > 0
-	s.mu.RUnlock()
-	if !hasMulti {
-		return nil
-	}
-	imgs, n := tokenImages(tok)
-	for _, img := range imgs[:n] {
-		removal := img.Op == datasource.OpDelete
-		err := s.pidx.Match(img, predindex.MatchCtx{Part: predindex.AllParts, Slot: slot}, func(m predindex.Match) bool {
-			if !m.MultiVar {
-				return true
-			}
-			s.withNetwork(m.TriggerID, func(lt catalog.LoadedTrigger) {
-				switch {
-				case lt.Gator != nil:
-					// Retraction fires only for genuine delete tokens
-					// whose fire mask accepts deletes.
-					var pnode discrim.PNode
-					if (!removal || tok.Op == datasource.OpDelete) && m.FireMask.Matches(tok) && s.cat.IsFireable(m.TriggerID) {
-						pnode = s.comboRunner(lt, tok, sp)
-						s.cTokensMatch.Inc()
-					}
-					if err := lt.Gator.NotifyToken(int(m.NextNode), img, pnode); err != nil {
-						s.noteErrorAt("gator", m.TriggerID, err)
-					}
-				case removal:
-					lt.Network.RemoveTuple(int(m.NextNode), tok.Old)
-				default:
-					lt.Network.AddTuple(int(m.NextNode), tok.New)
-				}
-			})
-			return true
-		})
-		if err != nil {
-			return err
+	for _, m := range come {
+		if m.Aggregate {
+			s.applyAggregate(m.TriggerID, tok, in(gone, m.TriggerID), true, sp)
 		}
 	}
-	return nil
+	for _, m := range gone {
+		if m.Aggregate && !in(come, m.TriggerID) {
+			s.applyAggregate(m.TriggerID, tok, true, false, sp)
+		}
+	}
 }
 
-func (s *System) withNetwork(id uint64, fn func(catalog.LoadedTrigger)) {
+// applyAggregate updates one trigger's incremental aggregates with the
+// token images that passed its selection; having-condition transitions
+// fire the action with aggregate values substituted in.
+func (s *System) applyAggregate(id uint64, tok datasource.Token, oldMatch, newMatch bool, sp *trace.Span) {
+	if !s.cat.IsFireable(id) {
+		// Like the paper's isEnabled semantics, disabled triggers are
+		// inert: they do not maintain state either.
+		return
+	}
 	lt, unpin, err := s.cat.Pin(id)
 	if err != nil {
-		s.noteErrorAt("match", id, err)
+		s.noteErrorAt("aggregate", id, err)
 		return
 	}
 	defer unpin()
-	if lt.Network != nil || lt.Gator != nil {
-		fn(*lt)
+	if lt.Agg == nil {
+		return
+	}
+	var op agg.Op
+	switch tok.Op {
+	case datasource.OpInsert:
+		op = agg.OpInsert
+	case datasource.OpDelete:
+		op = agg.OpDelete
+	default:
+		op = agg.OpUpdate
+	}
+	fires, err := lt.Agg.State.Apply(op, tok.Old, tok.New, oldMatch, newMatch, lt.Agg.Having)
+	if err != nil {
+		s.noteErrorAt("aggregate", id, err)
+		return
+	}
+	for _, f := range fires {
+		s.cTokensMatch.Inc()
+		action, err := agg.SubstituteAction(lt.Action, lt.Agg.Schema, lt.Agg.Specs, f.Aggregates)
+		if err != nil {
+			s.noteErrorAt("aggregate", id, err)
+			continue
+		}
+		ltCopy := *lt
+		ltCopy.Action = action
+		olds := []types.Tuple{tok.Old}
+		if err := s.runCombo(ltCopy, tok, []types.Tuple{f.Representative}, olds, sp); err != nil {
+			s.noteErrorAt("action", id, err)
+		}
 	}
 }
 
 // comboRunner builds the P-node callback that executes a trigger's
-// action for each satisfying combination.
-func (s *System) comboRunner(lt catalog.LoadedTrigger, tok datasource.Token, sp *trace.Span) discrim.PNode {
+// action for each satisfying combination. The first failure stops the
+// enumeration and is left in *ferr.
+func (s *System) comboRunner(lt catalog.LoadedTrigger, tok datasource.Token, sp *trace.Span, ferr *error) discrim.PNode {
 	return func(c discrim.Combo) bool {
 		olds := make([]types.Tuple, len(c.Tuples))
 		if c.SeedVar >= 0 && c.SeedVar < len(olds) {
 			olds[c.SeedVar] = tok.Old
 		}
-		if err := s.runCombo(lt, tok, c.Tuples, olds, sp); err != nil {
-			s.noteErrorAt("action", lt.Info.ID, err)
-			return false
-		}
-		return true
+		*ferr = s.runCombo(lt, tok, c.Tuples, olds, sp)
+		return *ferr == nil
 	}
-}
-
-// fireMatches matches the token's effective image against the predicate
-// index (one partition, or AllParts) and fires each matching trigger
-// whose fire mask accepts the token.
-func (s *System) fireMatches(tok datasource.Token, part, slot int, sp *trace.Span) error {
-	var begin time.Time
-	if sp != nil {
-		begin = time.Now()
-	}
-	var matched []predindex.Match
-	err := s.pidx.Match(tok, predindex.MatchCtx{Part: part, Slot: slot}, func(m predindex.Match) bool {
-		if m.FireMask.Matches(tok) {
-			matched = append(matched, m)
-		}
-		return true
-	})
-	if sp != nil {
-		sp.Observe(trace.StageMatch, time.Since(begin))
-	}
-	if err != nil {
-		return err
-	}
-	for _, m := range matched {
-		if m.Gator || m.Aggregate {
-			// Gator and aggregate triggers fired during their
-			// maintenance passes.
-			continue
-		}
-		if !s.cat.IsFireable(m.TriggerID) {
-			continue
-		}
-		s.cTokensMatch.Inc()
-		// A transient Pin/Enumerate fault is retried per firing; an
-		// exhausted or permanent one quarantines only this trigger's
-		// firing — the remaining matches still run.
-		m := m
-		attempts, err := s.actionRetry.Do(func() error {
-			return s.fireTrigger(m, tok, sp)
-		})
-		s.prof.ActionRetries(m.TriggerID, attempts)
-		if err != nil {
-			s.quarantine(catalog.DeadAction, m.TriggerID, tok, err, attempts)
-		}
-	}
-	return nil
 }
 
 // fireTrigger pins the trigger (§5.4's trigger-cache pin), runs join and
@@ -513,18 +505,7 @@ func (s *System) fireTrigger(m predindex.Match, tok datasource.Token, sp *trace.
 		return s.runCombo(*lt, tok, []types.Tuple{tok.Effective()}, olds, sp)
 	}
 	var ferr error
-	err = lt.Network.Enumerate(int(m.NextNode), tok, func(c discrim.Combo) bool {
-		olds := make([]types.Tuple, len(c.Tuples))
-		if c.SeedVar >= 0 && c.SeedVar < len(olds) {
-			olds[c.SeedVar] = tok.Old
-		}
-		if e := s.runCombo(*lt, tok, c.Tuples, olds, sp); e != nil {
-			ferr = e
-			return false
-		}
-		return true
-	})
-	if err != nil {
+	if err := lt.Network.Enumerate(int(m.NextNode), tok, s.comboRunner(*lt, tok, sp, &ferr)); err != nil {
 		return err
 	}
 	return ferr

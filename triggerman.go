@@ -155,8 +155,9 @@ type Options struct {
 	// selective and reused; A-TREAT wins when they are wide — see the
 	// BenchmarkAblation_TreatVsGator two-regime comparison.
 	GatorNetworks bool
-	// T and Threshold tune the driver loop (paper defaults 250ms).
-	T, Threshold time.Duration
+	// Threshold bounds one driver drain slice (paper default 250ms). The
+	// idle re-poll interval T is fixed at the paper's 250ms.
+	Threshold time.Duration
 	// MetricsAddr, when non-empty, starts the ops HTTP listener on the
 	// address at Open: Prometheus /metrics, JSON /statusz, and
 	// /debug/pprof. The listener can also be started later with
@@ -171,9 +172,6 @@ type Options struct {
 	// is on by default: the hot-path charge is a handful of atomic adds
 	// into a bounded top-K sketch (see internal/profile).
 	DisableProfiling bool
-	// ProfileCapacity bounds the number of triggers the attribution
-	// sketch tracks exactly-ish (space-saving top-K; default 1024).
-	ProfileCapacity int
 	// EventLogOut, when non-nil, mirrors the structured event log as
 	// JSON lines to the writer (one line per discrete decision:
 	// constant-set reorganizations, cache evictions, quarantines, ops
@@ -196,15 +194,6 @@ type Options struct {
 	// SLOWindows overrides the multi-window burn-rate pairs (default
 	// fast 5m/1h at 14.4× and slow 6h/3d at 1×).
 	SLOWindows []slo.WindowPair
-	// ReconcileEvery is the phase-reconciliation epoch: how often hot
-	// counters' per-driver slices (predicate-index probe/match tallies,
-	// profiler sketch cells) fold into their base cells and refresh the
-	// reconciled readings that reorganization decisions and snapshots
-	// consume. Shorter epochs tighten the staleness bound the cost
-	// model sees; longer epochs cut fold work. 0 takes the default
-	// (100ms); negative disables the ticker (embedders may call
-	// System.Reconcile themselves).
-	ReconcileEvery time.Duration
 	// NodeID names this system instance in a multi-node deployment: it
 	// stamps /statusz and /loadz, is exchanged in the wire handshake,
 	// and marks the origin of forwarded tokens and replicated DDL.
@@ -318,16 +307,10 @@ type System struct {
 	// not configured).
 	adm *admission.Controller
 
-	mu              sync.RWMutex
-	multiVarSources map[int32]int // #multi-var triggers per source
-	aggSources      map[int32]int // #aggregate triggers per source
-	// interSources / batchSources count triggers per source by priority
-	// class: a source is batch-class (low-priority tasks, sheddable)
-	// exactly when it feeds at least one batch trigger and no
-	// interactive ones.
-	interSources map[int32]int
-	batchSources map[int32]int
-	partitions   int
+	mu sync.RWMutex
+	// sources counts, per data source, the triggers that read it.
+	sources    map[int32]sourceUse
+	partitions int
 	// The token pipeline's shape (process.go), resolved once at Open:
 	// tokenBatch is how many tokens one pump dequeues, ordered puts the
 	// per-source serial hop between dequeue and stage (SourceFIFO), and
@@ -475,7 +458,7 @@ func Open(opts Options) (*System, error) {
 	}
 	var prof *profile.Profiler
 	if !opts.DisableProfiling {
-		prof = profile.New(opts.ProfileCapacity, slots)
+		prof = profile.New(profile.DefaultCapacity, slots)
 	}
 	elog := eventlog.New(eventlog.Config{Out: opts.EventLogOut, Ring: opts.EventLogRing})
 	pidxOpts := []predindex.Option{predindex.WithDB(db), predindex.WithMetrics(met), predindex.WithSlots(slots)}
@@ -514,23 +497,20 @@ func Open(opts Options) (*System, error) {
 		sampleEvery = 64
 	}
 	sys := &System{
-		opts:            opts,
-		bp:              bp,
-		db:              db,
-		reg:             reg,
-		pidx:            pidx,
-		cat:             cat,
-		bus:             event.NewBus(),
-		met:             met,
-		prof:            prof,
-		elog:            elog,
-		multiVarSources: make(map[int32]int),
-		aggSources:      make(map[int32]int),
-		interSources:    make(map[int32]int),
-		batchSources:    make(map[int32]int),
-		partitions:      opts.ConditionPartitions,
-		tokenBatch:      opts.TokenBatch,
-		ordered:         opts.SourceFIFO && !opts.Synchronous,
+		opts:       opts,
+		bp:         bp,
+		db:         db,
+		reg:        reg,
+		pidx:       pidx,
+		cat:        cat,
+		bus:        event.NewBus(),
+		met:        met,
+		prof:       prof,
+		elog:       elog,
+		sources:    make(map[int32]sourceUse),
+		partitions: opts.ConditionPartitions,
+		tokenBatch: opts.TokenBatch,
+		ordered:    opts.SourceFIFO && !opts.Synchronous,
 	}
 	sys.fanOut = sys.partitions > 1 && !opts.Synchronous && !opts.SourceFIFO
 	switch {
@@ -597,33 +577,27 @@ func Open(opts Options) (*System, error) {
 		sys.pool = taskq.New(taskq.Config{
 			Drivers:          opts.Drivers,
 			ConcurrencyLevel: opts.ConcurrencyLevel,
-			T:                opts.T,
 			Threshold:        opts.Threshold,
 			OnError:          sys.noteError,
 			Metrics:          met,
 		})
 	}
 	cat.Cache().SetObserver(cacheObserver{prof: prof, elog: elog})
-	if every := opts.ReconcileEvery; every >= 0 {
-		if every == 0 {
-			every = 100 * time.Millisecond
-		}
-		sys.reconStop = make(chan struct{})
-		sys.reconDone = make(chan struct{})
-		go func() {
-			defer close(sys.reconDone)
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					sys.Reconcile()
-				case <-sys.reconStop:
-					return
-				}
+	sys.reconStop = make(chan struct{})
+	sys.reconDone = make(chan struct{})
+	go func() {
+		defer close(sys.reconDone)
+		t := time.NewTicker(reconcileEvery)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				sys.Reconcile()
+			case <-sys.reconStop:
+				return
 			}
-		}()
-	}
+		}
+	}()
 	sys.registerViews()
 	// Rebuild the multi-var bookkeeping for recovered triggers.
 	sys.rebuildMultiVar()
@@ -805,41 +779,54 @@ func (s *System) registerViews() {
 func (s *System) rebuildMultiVar() {
 	for _, name := range s.cat.TriggerNames() {
 		id, _ := s.cat.TriggerByName(name)
-		srcs, ok := s.cat.TriggerSources(id)
-		if !ok {
-			continue
+		s.countTrigger(id, +1)
+	}
+}
+
+// sourceUse counts the triggers reading one data source by what they
+// ask of the token pipeline.
+type sourceUse struct {
+	// stateful triggers keep state the source's tokens must maintain: a
+	// multi-variable trigger's network or an aggregate trigger's groups.
+	stateful int
+	// inter and batch split the triggers by priority class.
+	inter, batch int
+}
+
+// countTrigger adds (delta +1) or removes (-1) a catalogued trigger
+// from the records of the sources it reads.
+func (s *System) countTrigger(id uint64, delta int) {
+	srcs, ok := s.cat.TriggerSources(id)
+	if !ok {
+		return
+	}
+	stateful := len(srcs) > 1 || s.cat.TriggerIsAggregate(id)
+	batch := s.cat.TriggerClass(id) == admission.Batch
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, src := range srcs {
+		u := s.sources[src]
+		if stateful {
+			u.stateful += delta
 		}
-		if len(srcs) > 1 {
-			for _, src := range srcs {
-				s.multiVarSources[src]++
-			}
-		}
-		if s.cat.TriggerIsAggregate(id) {
-			for _, src := range srcs {
-				s.aggSources[src]++
-			}
-		}
-		if s.cat.TriggerClass(id) == admission.Batch {
-			for _, src := range srcs {
-				s.batchSources[src]++
-			}
+		if batch {
+			u.batch += delta
 		} else {
-			for _, src := range srcs {
-				s.interSources[src]++
-			}
+			u.inter += delta
 		}
+		s.sources[src] = u
 	}
 }
 
 // sourceClass derives the admission class of a data source from the
-// triggers attached to it: a source is batch-class exactly when it
-// feeds at least one batch trigger and no interactive ones. A source
-// with no triggers at all stays interactive — admission must not shed
-// tokens whose consumers we cannot see yet.
+// triggers attached to it: a source is batch-class (low-priority tasks,
+// sheddable) exactly when it feeds at least one batch trigger and no
+// interactive ones. A source with no triggers at all stays interactive
+// — admission must not shed tokens whose consumers we cannot see yet.
 func (s *System) sourceClass(src int32) admission.Class {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.interSources[src] > 0 || s.batchSources[src] == 0 {
+	if u := s.sources[src]; u.inter > 0 || u.batch == 0 {
 		return admission.Interactive
 	}
 	return admission.Batch
@@ -961,27 +948,7 @@ func (s *System) CreateTrigger(text string) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if len(info.SourceIDs) > 1 {
-		for _, src := range info.SourceIDs {
-			s.multiVarSources[src]++
-		}
-	}
-	if info.IsAggregate {
-		for _, src := range info.SourceIDs {
-			s.aggSources[src]++
-		}
-	}
-	if info.Class == admission.Batch {
-		for _, src := range info.SourceIDs {
-			s.batchSources[src]++
-		}
-	} else {
-		for _, src := range info.SourceIDs {
-			s.interSources[src]++
-		}
-	}
-	s.mu.Unlock()
+	s.countTrigger(info.ID, +1)
 	if s.partitions > 1 {
 		for _, src := range info.SourceIDs {
 			for _, e := range s.pidx.Signatures(src) {
@@ -997,32 +964,7 @@ func (s *System) CreateTrigger(text string) error {
 // DropTrigger removes a trigger.
 func (s *System) DropTrigger(name string) error {
 	if id, ok := s.cat.TriggerByName(name); ok {
-		srcs, haveSrcs := s.cat.TriggerSources(id)
-		isAgg := s.cat.TriggerIsAggregate(id)
-		class := s.cat.TriggerClass(id)
-		if haveSrcs {
-			s.mu.Lock()
-			if len(srcs) > 1 {
-				for _, src := range srcs {
-					s.multiVarSources[src]--
-				}
-			}
-			if isAgg {
-				for _, src := range srcs {
-					s.aggSources[src]--
-				}
-			}
-			if class == admission.Batch {
-				for _, src := range srcs {
-					s.batchSources[src]--
-				}
-			} else {
-				for _, src := range srcs {
-					s.interSources[src]--
-				}
-			}
-			s.mu.Unlock()
-		}
+		s.countTrigger(id, -1)
 	}
 	return s.cat.DropTrigger(name)
 }
@@ -1069,12 +1011,19 @@ func (s *System) Drain() {
 	}
 }
 
+// reconcileEvery is the phase-reconciliation epoch: how often hot
+// counters' per-driver slices (predicate-index probe/match tallies,
+// profiler sketch cells) fold into their base cells and refresh the
+// reconciled readings that reorganization decisions and snapshots
+// consume — the staleness bound the cost model sees.
+const reconcileEvery = 100 * time.Millisecond
+
 // Reconcile runs one phase-reconciliation epoch across every sliced
 // counter domain: the predicate index's probe/match tallies and the
 // profiler sketch fold their per-driver slices and refresh the
-// reconciled readings. The Open-started ticker (Options.ReconcileEvery)
-// calls this on its epoch; embedders that disabled the ticker call it
-// themselves (e.g. between deterministic test phases).
+// reconciled readings. A ticker started by Open calls this every
+// reconcileEvery; tests call it themselves between deterministic
+// phases.
 func (s *System) Reconcile() {
 	s.pidx.Reconcile()
 	s.prof.Reconcile()
@@ -1101,10 +1050,8 @@ func (s *System) Close() error {
 	}
 	s.sloEng.Stop()
 	s.rts.Stop()
-	if s.reconStop != nil {
-		close(s.reconStop)
-		<-s.reconDone
-	}
+	close(s.reconStop)
+	<-s.reconDone
 	if s.pool != nil {
 		s.pool.Close()
 	}
