@@ -1,0 +1,272 @@
+package triggerman
+
+import (
+	"fmt"
+	"testing"
+
+	"triggerman/internal/cache"
+	"triggerman/internal/datasource"
+	"triggerman/internal/event"
+	"triggerman/internal/exec"
+	"triggerman/internal/expr"
+	"triggerman/internal/minisql"
+	"triggerman/internal/parser"
+	"triggerman/internal/phasecounter"
+	"triggerman/internal/predindex"
+	"triggerman/internal/retry"
+	"triggerman/internal/storage"
+	"triggerman/internal/types"
+)
+
+// TestAllocCeilings holds each stage of the token path to the heap
+// objects it was measured to allocate per call, so the allocation
+// budget (DESIGN.md, "Allocation budget and buffer ownership") cannot
+// erode one closure at a time. A ceiling is the measured value, and the
+// row says what the objects are; a row at 0 allocates nothing once its
+// buffers have grown. AllocsPerRun counts every malloc in the process,
+// so the rows run one after another on a quiet system, and not under
+// the race detector, which allocates on its own.
+func TestAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, row := range allocRows(t) {
+		for i := 0; i < 50; i++ {
+			row.call() // grow buffers, fill caches
+		}
+		got := testing.AllocsPerRun(200, row.call)
+		t.Logf("%-38s %5.1f allocs/call (ceiling %g)", row.stage, got, row.ceiling)
+		if got > row.ceiling {
+			t.Errorf("%s: %.1f allocs/call, ceiling %g — %s", row.stage, got, row.ceiling, row.what)
+		}
+	}
+}
+
+type allocRow struct {
+	stage   string
+	ceiling float64
+	what    string // the objects a call at the ceiling allocates
+	call    func()
+}
+
+var ceilingSchema = types.MustSchema(
+	types.Column{Name: "name", Kind: types.KindVarchar},
+	types.Column{Name: "salary", Kind: types.KindInt},
+)
+
+func allocRows(t *testing.T) []allocRow {
+	rows := []allocRow{{
+		stage: "retry.Policy.Do, success", ceiling: 0,
+		call: func() func() {
+			p := retry.Policy{Observe: func(int, error) {}}.WithDefaults()
+			ok := func() error { return nil }
+			return func() { p.Do(ok) }
+		}(),
+	}, {
+		stage: "BufferPool.FetchPage+Unpin, hit", ceiling: 0,
+		call: func() func() {
+			bp := storage.NewBufferPool(storage.NewMem(), 8)
+			p, err := bp.NewPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp.Unpin(p.ID, true)
+			return func() {
+				bp.FetchPage(p.ID)
+				bp.Unpin(p.ID, false)
+			}
+		}(),
+	}, {
+		stage: "cache Pin+Unpin, hit", ceiling: 0,
+		call: func() func() {
+			c := cache.NewSharded(64, func(id uint64) (interface{}, error) { return id, nil })
+			return func() {
+				c.Pin(7)
+				c.Unpin(7)
+			}
+		}(),
+	}}
+
+	// predindex: 40 constants per class, each organization, probed with
+	// a caller-owned Buffer.
+	for _, org := range []predindex.Organization{predindex.OrgMemoryList, predindex.OrgMemoryIndex, predindex.OrgTable, predindex.OrgIndexedTable} {
+		for _, kind := range []string{"equality", "range"} {
+			row := allocRow{stage: fmt.Sprintf("Index.Match, %s, %s", org, kind)}
+			if org == predindex.OrgTable || org == predindex.OrgIndexedTable {
+				// Organizations 3 and 4 ask the SQL processor ("queried as
+				// needed", §5.2): the select statement and its where clause,
+				// the plan, and per row the query reads — all 40 without the
+				// index, else the 1 or 20 that pass — its record, its decoded
+				// tuple and strings, the result row and the event mask parsed
+				// back from it.
+				row.what = "the constant table's select: statement, where clause, plan, and each row read"
+				row.ceiling = map[string]float64{
+					"table equality": 196, "table range": 200,
+					"indexed-table equality": 45, "indexed-table range": 165,
+				}[org.String()+" "+kind]
+			}
+			row.call = matchCall(t, org, kind)
+			rows = append(rows, row)
+		}
+	}
+
+	tok := datasource.Token{SourceID: 1, Op: datasource.OpUpdate,
+		Old: types.Tuple{types.NewString("ann"), types.NewInt(10)},
+		New: types.Tuple{types.NewString("ann"), types.NewInt(11)}}
+	mq := datasource.NewMemQueue()
+	tq, err := datasource.NewTableQueue(storage.NewBufferPool(storage.NewMem(), 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, allocRow{
+		stage: "MemQueue Enqueue+DequeueBatch", ceiling: 1,
+		what: "the batch slice handed to the caller",
+		call: func() {
+			mq.Enqueue(tok)
+			mq.DequeueBatch(16)
+		},
+	}, allocRow{
+		stage: "TableQueue Enqueue+DequeueBatch", ceiling: 5,
+		what: "the batch slice, and what the decoded token owns: its two images and the string in each",
+		call: func() {
+			tq.Enqueue(tok)
+			tq.DequeueBatch(16)
+		},
+	})
+
+	// exec: a compiled action run over a caller-owned Env, as the pipeline
+	// runs it.
+	db, err := minisql.Create(storage.NewBufferPool(storage.NewMem(), 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable("audit", ceilingSchema); err != nil {
+		t.Fatal(err)
+	}
+	bus := event.NewBus()
+	sub, err := bus.Subscribe("raised", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe := &exec.Executor{DB: db, Bus: bus}
+	varIndex := map[string]int{"emp": 0}
+	schemas := []*types.Schema{ceilingSchema}
+	env := &exec.Env{
+		Binding:  exec.Binding{VarIndex: varIndex, Tuples: []types.Tuple{tok.New}, Olds: []types.Tuple{tok.Old}},
+		SchemaOf: func(int) *types.Schema { return ceilingSchema },
+	}
+	action := func(text string) parser.Action {
+		st, err := parser.Parse("create trigger x from emp do " + text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		act := st.(*parser.CreateTrigger).Do
+		exec.Compile(act, varIndex, schemas)
+		return act
+	}
+	raise := action("raise event raised(emp.name, emp.salary + 1, :OLD.emp.salary)")
+	insert := action("execSQL 'insert into audit values (:NEW.emp.name, :NEW.emp.salary)'")
+	rows = append(rows, allocRow{
+		stage: "Executor.Run, raise event", ceiling: 1,
+		what: "the argument tuple the bus delivers to subscribers",
+		call: func() {
+			if err := exe.Run(1, raise, env); err != nil {
+				t.Fatal(err)
+			}
+			<-sub.C()
+		},
+	}, allocRow{
+		stage: "Executor.Run, execSQL insert", ceiling: 3,
+		what: "the row, the Result and its one-element change list",
+		call: func() {
+			if err := exe.Run(1, insert, env); err != nil {
+				t.Fatal(err)
+			}
+		},
+	})
+
+	// The whole path, Synchronous: capture, enqueue, dequeue, probe, pin,
+	// fire, raise.
+	sys, err := Open(Options{Synchronous: true, Queue: MemoryQueue,
+		TraceSampleEvery: -1, DisableSLO: true, DisableProfiling: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	if _, err := sys.DefineStreamSource("emp", ceilingSchema.Columns...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateTrigger("create trigger rich from emp when emp.salary > 5 do raise event rich(emp.name)"); err != nil {
+		t.Fatal(err)
+	}
+	src, _ := sys.reg.ByName("emp")
+	ins := datasource.Token{SourceID: src.ID, Op: datasource.OpInsert, New: tok.New}
+	ok := func() error { return nil }
+	rows = append(rows, allocRow{
+		// The retry observer once declared its errors.As target before
+		// looking at err: one heap object per successful Do.
+		stage: "System's action retry policy, success", ceiling: 0,
+		call: func() { sys.actionRetry.Do(ok) },
+	}, allocRow{
+		stage: "System.apply, one single-variable firing", ceiling: 2,
+		what: "the dequeued batch slice and the delivered argument tuple",
+		call: func() {
+			if err := sys.apply(ins); err != nil {
+				t.Fatal(err)
+			}
+		},
+	})
+	return rows
+}
+
+// matchCall builds an index of 40 single-constant predicates in one
+// class under the given organization and returns a probe that matches
+// one (equality) or twenty (range) of them.
+func matchCall(t *testing.T, org predindex.Organization, kind string) func() {
+	db, err := minisql.Create(storage.NewBufferPool(storage.NewMem(), 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := predindex.New(predindex.WithDB(db), predindex.WithForcedOrganization(org))
+	ix.AddSource(1, ceilingSchema)
+	for i := 0; i < 40; i++ {
+		when := fmt.Sprintf("emp.name = 'n%02d'", i)
+		if kind == "range" {
+			when = fmt.Sprintf("emp.salary > %d", i)
+		}
+		n, err := parser.ParseExpr(when)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &expr.Binder{VarIndex: map[string]int{"emp": 0}, DefaultVar: 0,
+			ColumnIndex: func(_ int, col string) int { return ceilingSchema.ColumnIndex(col) }}
+		if err := b.Bind(n); err != nil {
+			t.Fatal(err)
+		}
+		cnf, err := expr.ToCNF(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, consts, err := expr.ExtractSignature(cnf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := predindex.Ref{ExprID: uint64(i + 1), TriggerID: uint64(i + 1)}
+		if _, err := ix.AddPredicate(1, predindex.EventMask{AnyOp: true}, sig, consts, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tok := datasource.Token{SourceID: 1, Op: datasource.OpInsert,
+		New: types.Tuple{types.NewString("n07"), types.NewInt(20)}}
+	want := map[string]int{"equality": 1, "range": 20}[kind]
+	var buf predindex.Buffer
+	return func() {
+		buf.Reset()
+		if err := ix.Match(&buf, tok, predindex.MatchCtx{Part: predindex.AllParts, Slot: phasecounter.NoSlot}); err != nil {
+			t.Fatal(err)
+		}
+		if len(buf.Matches) != want {
+			t.Fatalf("%s %s: %d matches, want %d", org, kind, len(buf.Matches), want)
+		}
+	}
+}

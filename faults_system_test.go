@@ -18,6 +18,7 @@ import (
 	"triggerman/internal/catalog"
 	"triggerman/internal/datasource"
 	"triggerman/internal/faults"
+	"triggerman/internal/metrics"
 	"triggerman/internal/retry"
 	"triggerman/internal/storage"
 	"triggerman/internal/taskq"
@@ -421,6 +422,55 @@ func TestTransientActionFaultRetriesAndDelivers(t *testing.T) {
 	}
 	if sys.DeadLetterCount() != 0 {
 		t.Fatalf("dead letters = %d, want 0", sys.DeadLetterCount())
+	}
+}
+
+// TestRetryMetricsCountAttemptsAndExhaustions pins the two tman_retry_*
+// families to an exact fault script: a firing that fails k times
+// transiently adds k to the attempts family (retries beyond the first
+// try), one that never succeeds adds MaxAttempts-1 and one exhaustion,
+// and successes add nothing to either.
+func TestRetryMetricsCountAttemptsAndExhaustions(t *testing.T) {
+	sys, err := Open(Options{
+		Synchronous: true, Queue: MemoryQueue,
+		ActionRetry: &retry.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	src, err := sys.DefineStreamSource("s", types.Column{Name: "v", Kind: types.KindInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateTrigger(`create trigger x from s do raise event X(s.v)`); err != nil {
+		t.Fatal(err)
+	}
+	// Token v's firing fails its first v attempts.
+	var v, tries int
+	sys.exe.Inject = func(uint64) error {
+		if tries++; tries <= v {
+			return retry.Transient(errors.New("injected"))
+		}
+		return nil
+	}
+	for _, v = range []int{0, 1, 2, 5, 0} {
+		tries = 0
+		if err := src.Insert(types.Tuple{types.NewInt(int64(v))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counter := func(family string) int64 {
+		return sys.met.Counter(family, "", metrics.L("policy", "action")).Value()
+	}
+	if got := counter("tman_retry_attempts_total"); got != 0+1+2+2+0 {
+		t.Errorf("action retry attempts = %d, want 5", got)
+	}
+	if got := counter("tman_retry_exhausted_total"); got != 1 {
+		t.Errorf("action retry exhaustions = %d, want 1", got)
+	}
+	if got := sys.DeadLetterCount(); got != 1 {
+		t.Errorf("dead letters = %d, want 1 (the firing that never succeeded)", got)
 	}
 }
 

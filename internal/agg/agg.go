@@ -449,7 +449,7 @@ func CollectActionSpecs(action parser.Action, schema *types.Schema, specs []Spec
 		add(Spec{Func: f, Col: col})
 		return nil
 	}
-	err := walkAction(action, scanNode)
+	err := parser.WalkAction(action, scanNode)
 	if err != nil {
 		return nil, err
 	}
@@ -523,123 +523,12 @@ func SubstituteAction(action parser.Action, schema *types.Schema, specs []Spec, 
 		}
 		return out, nil
 	case *parser.ExecSQL:
-		st, err := substituteStmt(a.Stmt, sub)
+		st, err := parser.MapStatement(a.Stmt, sub)
 		if err != nil {
 			return nil, err
 		}
 		return &parser.ExecSQL{SQL: a.SQL, Stmt: st}, nil
 	default:
 		return action, nil
-	}
-}
-
-// walkAction visits every expression of an action.
-func walkAction(action parser.Action, fn func(expr.Node) error) error {
-	switch a := action.(type) {
-	case *parser.RaiseEvent:
-		for _, arg := range a.Args {
-			if err := fn(arg); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *parser.ExecSQL:
-		return walkStmt(a.Stmt, fn)
-	default:
-		return nil
-	}
-}
-
-func walkStmt(st parser.Statement, fn func(expr.Node) error) error {
-	apply := func(nodes ...expr.Node) error {
-		for _, n := range nodes {
-			if n == nil {
-				continue
-			}
-			if err := fn(n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	switch s := st.(type) {
-	case *parser.Select:
-		for _, it := range s.Items {
-			if err := apply(it.Expr); err != nil {
-				return err
-			}
-		}
-		return apply(s.Where)
-	case *parser.Insert:
-		return apply(s.Values...)
-	case *parser.Update:
-		for _, sc := range s.Sets {
-			if err := apply(sc.Value); err != nil {
-				return err
-			}
-		}
-		return apply(s.Where)
-	case *parser.Delete:
-		return apply(s.Where)
-	}
-	return nil
-}
-
-func substituteStmt(st parser.Statement, sub func(expr.Node) (expr.Node, error)) (parser.Statement, error) {
-	switch s := st.(type) {
-	case *parser.Select:
-		out := &parser.Select{Table: s.Table}
-		for _, it := range s.Items {
-			ni := parser.SelectItem{Alias: it.Alias, Star: it.Star}
-			if it.Expr != nil {
-				e, err := sub(it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				ni.Expr = e
-			}
-			out.Items = append(out.Items, ni)
-		}
-		w, err := sub(s.Where)
-		if err != nil {
-			return nil, err
-		}
-		out.Where = w
-		return out, nil
-	case *parser.Insert:
-		out := &parser.Insert{Table: s.Table, Columns: append([]string(nil), s.Columns...)}
-		for _, v := range s.Values {
-			e, err := sub(v)
-			if err != nil {
-				return nil, err
-			}
-			out.Values = append(out.Values, e)
-		}
-		return out, nil
-	case *parser.Update:
-		out := &parser.Update{Table: s.Table}
-		for _, sc := range s.Sets {
-			e, err := sub(sc.Value)
-			if err != nil {
-				return nil, err
-			}
-			out.Sets = append(out.Sets, parser.SetClause{Column: sc.Column, Value: e})
-		}
-		w, err := sub(s.Where)
-		if err != nil {
-			return nil, err
-		}
-		out.Where = w
-		return out, nil
-	case *parser.Delete:
-		out := &parser.Delete{Table: s.Table}
-		w, err := sub(s.Where)
-		if err != nil {
-			return nil, err
-		}
-		out.Where = w
-		return out, nil
-	default:
-		return st, nil
 	}
 }

@@ -10,9 +10,10 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
+
+	"triggerman/internal/lru"
 )
 
 // Entry is a cached trigger description.
@@ -22,8 +23,8 @@ type Entry struct {
 	// *catalog.LoadedTrigger here).
 	Value interface{}
 
-	pins  int
-	lruEl *list.Element
+	pins int
+	lru  lru.Node[*Entry] // listed only while unpinned
 }
 
 // Loader fetches a trigger description from the catalog on a miss.
@@ -49,7 +50,7 @@ type Cache struct {
 	capacity int
 	loader   Loader
 	entries  map[uint64]*Entry
-	lru      *list.List // back = least recently used, unpinned only
+	lru      lru.List[*Entry] // back = least recently used, unpinned only
 	stats    Stats
 	observer Observer
 }
@@ -71,7 +72,6 @@ func New(capacity int, loader Loader) *Cache {
 		capacity: capacity,
 		loader:   loader,
 		entries:  make(map[uint64]*Entry, capacity),
-		lru:      list.New(),
 	}
 }
 
@@ -98,10 +98,7 @@ func (c *Cache) Pin(triggerID uint64) (*Entry, error) {
 	if e, ok := c.entries[triggerID]; ok {
 		c.stats.Hits++
 		e.pins++
-		if e.lruEl != nil {
-			c.lru.Remove(e.lruEl)
-			e.lruEl = nil
-		}
+		c.lru.Remove(&e.lru)
 		c.mu.Unlock()
 		if obs != nil {
 			obs.CacheHit(triggerID)
@@ -133,10 +130,7 @@ func (c *Cache) Pin(triggerID uint64) (*Entry, error) {
 	// Double-check: a concurrent loader may have installed it.
 	if e, ok := c.entries[triggerID]; ok {
 		e.pins++
-		if e.lruEl != nil {
-			c.lru.Remove(e.lruEl)
-			e.lruEl = nil
-		}
+		c.lru.Remove(&e.lru)
 		c.mu.Unlock()
 		return e, nil
 	}
@@ -150,6 +144,7 @@ func (c *Cache) Pin(triggerID uint64) (*Entry, error) {
 		evicted = append(evicted, victim)
 	}
 	e := &Entry{TriggerID: triggerID, Value: val, pins: 1}
+	e.lru.Value = e
 	c.entries[triggerID] = e
 	c.mu.Unlock()
 	if obs != nil {
@@ -184,7 +179,7 @@ func (c *Cache) Unpin(triggerID uint64) error {
 	}
 	e.pins--
 	if e.pins == 0 {
-		e.lruEl = c.lru.PushFront(triggerID)
+		c.lru.PushFront(&e.lru)
 	}
 	return nil
 }
@@ -201,20 +196,18 @@ func (c *Cache) Invalidate(triggerID uint64) error {
 	if e.pins > 0 {
 		return fmt.Errorf("cache: trigger %d is pinned (%d)", triggerID, e.pins)
 	}
-	if e.lruEl != nil {
-		c.lru.Remove(e.lruEl)
-	}
+	c.lru.Remove(&e.lru)
 	delete(c.entries, triggerID)
 	return nil
 }
 
 func (c *Cache) evictLocked() (uint64, error) {
-	el := c.lru.Back()
-	if el == nil {
+	back := c.lru.Back()
+	if back == nil {
 		return 0, fmt.Errorf("cache: all %d cached triggers are pinned", c.capacity)
 	}
-	victim := el.Value.(uint64)
-	c.lru.Remove(el)
+	victim := back.Value.TriggerID
+	c.lru.Remove(back)
 	delete(c.entries, victim)
 	c.stats.Evictions++
 	return victim, nil

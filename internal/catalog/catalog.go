@@ -17,6 +17,7 @@ import (
 	"triggerman/internal/cache"
 	"triggerman/internal/datasource"
 	"triggerman/internal/discrim"
+	"triggerman/internal/exec"
 	"triggerman/internal/expr"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
@@ -568,15 +569,27 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
-// Pin loads the trigger description through the trigger cache and pins
-// it. Callers must invoke the returned unpin function.
-func (c *Catalog) Pin(id uint64) (*LoadedTrigger, func(), error) {
+// PinTrigger loads the trigger description through the trigger cache
+// and pins it. Every successful call is paired with one Unpin(id).
+func (c *Catalog) PinTrigger(id uint64) (*LoadedTrigger, error) {
 	e, err := c.tcache.Pin(id)
+	if err != nil {
+		return nil, err
+	}
+	return e.Value.(*LoadedTrigger), nil
+}
+
+// Unpin releases one PinTrigger of the trigger.
+func (c *Catalog) Unpin(id uint64) { c.tcache.Unpin(id) }
+
+// Pin is PinTrigger with the matching Unpin handed back as a function,
+// for callers that pin once and keep the description a while.
+func (c *Catalog) Pin(id uint64) (*LoadedTrigger, func(), error) {
+	lt, err := c.PinTrigger(id)
 	if err != nil {
 		return nil, nil, err
 	}
-	lt := e.Value.(*LoadedTrigger)
-	return lt, func() { c.tcache.Unpin(id) }, nil
+	return lt, func() { c.Unpin(id) }, nil
 }
 
 // loadTrigger is the cache loader: it re-reads the trigger row, parses
@@ -623,7 +636,9 @@ func (c *Catalog) loadTrigger(id uint64) (interface{}, error) {
 }
 
 // buildLoaded resolves sources/schemas and the action for a parsed
-// trigger.
+// trigger, and compiles the action: its references to the tuple
+// variables are resolved to slots here, once per load, while the tree is
+// still private to this call — firings then share it read-only.
 func (c *Catalog) buildLoaded(info *TriggerInfo, ct *parser.CreateTrigger) (*LoadedTrigger, error) {
 	lt := &LoadedTrigger{
 		Info:     info,
@@ -639,5 +654,6 @@ func (c *Catalog) buildLoaded(info *TriggerInfo, ct *parser.CreateTrigger) (*Loa
 		lt.Sources = append(lt.Sources, src.ID)
 		lt.Schemas = append(lt.Schemas, src.Schema)
 	}
+	exec.Compile(lt.Action, lt.VarIndex, lt.Schemas)
 	return lt, nil
 }

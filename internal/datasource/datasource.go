@@ -8,7 +8,9 @@
 package datasource
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -96,45 +98,83 @@ func (t Token) String() string {
 	}
 }
 
-// Encode flattens the token for queue-table storage.
+// tokenHeader is the number of leading integer columns of a token
+// record: source, op, seq, len(Old), len(New).
+const tokenHeader = 5
+
+// Encode flattens the token for queue-table storage: one tuple holding
+// the five header integers, then the old image, then the new one.
 func (t Token) Encode() []byte {
-	flat := make(types.Tuple, 0, 5+len(t.Old)+len(t.New))
-	flat = append(flat,
+	return t.AppendTo(make([]byte, 0, 2+9*tokenHeader+types.EncodedSize(t.Old)+types.EncodedSize(t.New)))
+}
+
+// AppendTo appends the token's record to dst.
+func (t Token) AppendTo(dst []byte) []byte {
+	header := [tokenHeader]types.Value{
 		types.NewInt(int64(t.SourceID)),
 		types.NewInt(int64(t.Op)),
 		types.NewInt(int64(t.Seq)),
 		types.NewInt(int64(len(t.Old))),
 		types.NewInt(int64(len(t.New))),
-	)
-	flat = append(flat, t.Old...)
-	flat = append(flat, t.New...)
-	return types.EncodeTuple(nil, flat)
+	}
+	dst = types.AppendCount(dst, tokenHeader+len(t.Old)+len(t.New))
+	dst = types.AppendValues(dst, header[:])
+	dst = types.AppendValues(dst, t.Old)
+	return types.AppendValues(dst, t.New)
 }
 
-// DecodeToken parses an encoded token.
+// decodeHead parses a token record's header: the token without its
+// images, their lengths, and where in rec they start.
+func decodeHead(rec []byte) (tok Token, nOld, nNew, pos int, err error) {
+	n, err := types.DecodeCount(rec)
+	if err != nil {
+		return Token{}, 0, 0, 0, err
+	}
+	if n < tokenHeader {
+		return Token{}, 0, 0, 0, fmt.Errorf("datasource: short token record (%d values)", n)
+	}
+	var header [tokenHeader]types.Value
+	used, err := types.DecodeValues(header[:], rec[2:])
+	if err != nil {
+		return Token{}, 0, 0, 0, err
+	}
+	for _, v := range header {
+		if v.Kind() != types.KindInt {
+			return Token{}, 0, 0, 0, fmt.Errorf("datasource: token record header holds a %s", v.Kind())
+		}
+	}
+	nOld, nNew = int(header[3].Int()), int(header[4].Int())
+	if nOld < 0 || nNew < 0 || n != tokenHeader+nOld+nNew {
+		return Token{}, 0, 0, 0, fmt.Errorf("datasource: token record arity mismatch")
+	}
+	tok = Token{
+		SourceID: int32(header[0].Int()),
+		Op:       Op(header[1].Int()),
+		Seq:      uint64(header[2].Int()),
+	}
+	return tok, nOld, nNew, 2 + used, nil
+}
+
+// DecodeToken parses an encoded token. The images are the only memory
+// it allocates, and the token owns them.
 func DecodeToken(rec []byte) (Token, error) {
-	flat, _, err := types.DecodeTuple(rec)
+	tok, nOld, nNew, pos, err := decodeHead(rec)
 	if err != nil {
 		return Token{}, err
 	}
-	if len(flat) < 5 {
-		return Token{}, fmt.Errorf("datasource: short token record (%d values)", len(flat))
-	}
-	nOld := int(flat[3].Int())
-	nNew := int(flat[4].Int())
-	if len(flat) != 5+nOld+nNew {
-		return Token{}, fmt.Errorf("datasource: token record arity mismatch")
-	}
-	tok := Token{
-		SourceID: int32(flat[0].Int()),
-		Op:       Op(flat[1].Int()),
-		Seq:      uint64(flat[2].Int()),
-	}
 	if nOld > 0 {
-		tok.Old = flat[5 : 5+nOld].Clone()
+		tok.Old = make(types.Tuple, nOld)
+		used, err := types.DecodeValues(tok.Old, rec[pos:])
+		if err != nil {
+			return Token{}, err
+		}
+		pos += used
 	}
 	if nNew > 0 {
-		tok.New = flat[5+nOld:].Clone()
+		tok.New = make(types.Tuple, nNew)
+		if _, err := types.DecodeValues(tok.New, rec[pos:]); err != nil {
+			return Token{}, err
+		}
 	}
 	return tok, nil
 }
@@ -485,10 +525,13 @@ func (q *TableQueue) FirstPage() storage.PageID { return q.heap.FirstPage() }
 // lock; the durability flush goes through the commit group after it is
 // released, so concurrent enqueues coalesce their disk waits.
 func (q *TableQueue) Enqueue(t Token) (Token, error) {
+	// The heap copies the record into its page, so the encoding dies with
+	// this call: a token of ordinary width is laid out on the stack.
+	var buf [256]byte
 	q.mu.Lock()
 	q.seq++
 	t.Seq = q.seq
-	rid, err := q.heap.Insert(t.Encode())
+	rid, err := q.heap.Insert(t.AppendTo(buf[:0]))
 	if err == nil {
 		depthAdd(q.depths, t.SourceID, 1)
 	}
@@ -516,8 +559,10 @@ func (q *TableQueue) Dequeue() (Token, bool, error) {
 
 // DequeueBatch implements Queue. One call drains up to max tokens from
 // the first non-empty page (pages fill strictly in chain order, so that
-// page holds the oldest tokens; within it, dead-slot reuse can scramble
-// slot order, so records are sorted by sequence number).
+// page holds the oldest tokens). Its records are first listed by
+// sequence number — dead-slot reuse can scramble slot order, so the list
+// is sorted when it is not already in order — and only the ones taken
+// are decoded, each in the same page visit that deletes it.
 func (q *TableQueue) DequeueBatch(max int) ([]Token, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -528,28 +573,26 @@ func (q *TableQueue) DequeueBatch(max int) ([]Token, error) {
 		// unlinked) to learn it.
 		return nil, nil
 	}
-	type liveRec struct {
-		tok Token
+	type queued struct {
+		seq uint64
 		rid storage.RID
 	}
 	var (
-		recs []liveRec
-		derr error
+		onPage [64]queued // a page of tokens; more spill to the heap
+		recs   = onPage[:0]
+		derr   error
 	)
 	scanPage := func(start storage.PageID) error {
-		var page storage.PageID
-		havePage := false
 		return q.heap.ScanFrom(start, func(r storage.RID, rec []byte) bool {
-			if havePage && r.Page != page {
+			if len(recs) > 0 && r.Page != recs[0].rid.Page {
 				return false // left the first non-empty page
 			}
-			t, e := DecodeToken(rec)
+			head, _, _, _, e := decodeHead(rec)
 			if e != nil {
 				derr = e
 				return false
 			}
-			page, havePage = r.Page, true
-			recs = append(recs, liveRec{t, r})
+			recs = append(recs, queued{head.Seq, r})
 			return true
 		})
 	}
@@ -577,18 +620,26 @@ func (q *TableQueue) DequeueBatch(max int) ([]Token, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].tok.Seq < recs[j].tok.Seq })
+	bySeq := func(a, b queued) int { return cmp.Compare(a.seq, b.seq) }
+	if !slices.IsSortedFunc(recs, bySeq) {
+		slices.SortFunc(recs, bySeq)
+	}
 	if max > 0 && len(recs) > max {
 		recs = recs[:max]
 	}
 	out := make([]Token, 0, len(recs))
 	for _, r := range recs {
-		if err := q.heap.Delete(r.rid); err != nil {
-			// Tokens already deleted must still reach the caller.
+		var tok Token
+		err := q.heap.Take(r.rid, func(rec []byte) (e error) {
+			tok, e = DecodeToken(rec)
+			return e
+		})
+		if err != nil {
+			// Tokens already taken must still reach the caller.
 			return out, err
 		}
-		depthAdd(q.depths, r.tok.SourceID, -1)
-		out = append(out, r.tok)
+		depthAdd(q.depths, tok.SourceID, -1)
+		out = append(out, tok)
 		q.cursor, q.hasCur = r.rid, true
 	}
 	return out, nil

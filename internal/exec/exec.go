@@ -1,9 +1,20 @@
 // Package exec executes rule actions (§2, §5.4): when a trigger
-// condition is satisfied for a tuple combination, the matched values are
-// macro-substituted into the action — ":NEW notation ... allows
-// reference to new updated data values ... Values matching the trigger
-// condition are substituted into the trigger action using macro
-// substitution. After substitution, the trigger action is evaluated."
+// condition is satisfied for a tuple combination, the matched values
+// take the place of the action's references to them — ":NEW notation
+// ... allows reference to new updated data values ... Values matching
+// the trigger condition are substituted into the trigger action using
+// macro substitution. After substitution, the trigger action is
+// evaluated."
+//
+// Substitution here is bind-by-slot: when a trigger description is
+// loaded, Compile resolves each reference to its (variable, column,
+// old-or-new) slot once, and a firing evaluates the action's
+// expressions against the matched tuples through that slot (Env), where
+// the paper's implementation rewrites the action's text per firing. The
+// meaning is the macro substitution's: the same values reach the same
+// places, and a reference that cannot be resolved fails the firing with
+// the same error. SubstituteStatement still produces the rewritten
+// statement for callers that want to see or keep one.
 //
 // execSQL actions run against the embedded mini-SQL database; raise
 // event actions publish on the event bus.
@@ -36,45 +47,124 @@ type Binding struct {
 // binding. Unqualified references resolve only when there is exactly
 // one tuple variable.
 func (b Binding) Resolve(ref *expr.ColumnRef, schemaOf func(varIdx int) *types.Schema) (types.Value, error) {
-	vi := -1
+	vi, ci, err := slotOf(ref, b.VarIndex, len(b.Tuples), schemaOf)
+	if err != nil {
+		return types.Null(), err
+	}
+	return b.tupleFor(vi, ref.Old).Get(ci), nil
+}
+
+// tupleFor is the image of variable vi a reference reads; an image the
+// firing does not carry reads as NULLs.
+func (b Binding) tupleFor(vi int, old bool) types.Tuple {
+	tuples := b.Tuples
+	if old {
+		tuples = b.Olds
+	}
+	if vi < 0 || vi >= len(tuples) {
+		return nil
+	}
+	return tuples[vi]
+}
+
+// slotOf finds the (variable, column) position a reference names among
+// nvars tuple variables. It is the one place action references are
+// resolved by name: Compile calls it when a description is loaded, and a
+// firing only for the references Compile had to leave, whose error is
+// then the firing's.
+func slotOf(ref *expr.ColumnRef, varIndex map[string]int, nvars int, schemaOf func(int) *types.Schema) (vi, ci int, err error) {
 	if ref.Var == "" {
-		if len(b.Tuples) != 1 {
-			return types.Null(), fmt.Errorf("exec: unqualified reference %q is ambiguous over %d variables", ref.Column, len(b.Tuples))
+		if nvars != 1 {
+			return -1, -1, fmt.Errorf("exec: unqualified reference %q is ambiguous over %d variables", ref.Column, nvars)
 		}
-		vi = 0
 	} else {
-		idx, ok := b.VarIndex[strings.ToLower(ref.Var)]
+		idx, ok := varIndex[strings.ToLower(ref.Var)]
 		if !ok {
-			return types.Null(), fmt.Errorf("exec: unknown tuple variable %q in action", ref.Var)
+			return -1, -1, fmt.Errorf("exec: unknown tuple variable %q in action", ref.Var)
 		}
 		vi = idx
 	}
 	schema := schemaOf(vi)
 	if schema == nil {
-		return types.Null(), fmt.Errorf("exec: no schema for variable %q", ref.Var)
+		return -1, -1, fmt.Errorf("exec: no schema for variable %q", ref.Var)
 	}
-	ci := schema.ColumnIndex(ref.Column)
+	ci = schema.ColumnIndex(ref.Column)
 	if ci < 0 {
-		return types.Null(), fmt.Errorf("exec: unknown column %q of %q in action", ref.Column, ref.Var)
+		return -1, -1, fmt.Errorf("exec: unknown column %q of %q in action", ref.Column, ref.Var)
 	}
-	var tu types.Tuple
-	if ref.Old {
-		if vi < len(b.Olds) {
-			tu = b.Olds[vi]
+	return vi, ci, nil
+}
+
+// substituted reports whether a firing replaces ref by a matched value:
+// in a raise event every column reference names a tuple variable; in an
+// execSQL statement only :NEW/:OLD parameters do, and bare references
+// address the statement's target table.
+func substituted(act parser.Action, ref *expr.ColumnRef) bool {
+	_, raise := act.(*parser.RaiseEvent)
+	return raise || ref.Param
+}
+
+// Compile resolves, in place, every reference of the action that a
+// firing substitutes to its slot among the trigger's tuple variables,
+// so firings read matched values by position. It is index resolution
+// only — nothing is parsed or copied — and it cannot fail: a reference
+// it cannot resolve is left as written and fails each firing, as it
+// always has. The catalog compiles a description's action once, when
+// it loads it, before anything else can see the tree.
+func Compile(act parser.Action, varIndex map[string]int, schemas []*types.Schema) {
+	schemaOf := func(vi int) *types.Schema {
+		if vi < 0 || vi >= len(schemas) {
+			return nil
 		}
-	} else {
-		if vi < len(b.Tuples) {
-			tu = b.Tuples[vi]
-		}
+		return schemas[vi]
 	}
-	return tu.Get(ci), nil
+	parser.WalkAction(act, func(n expr.Node) error {
+		expr.Walk(n, func(m expr.Node) bool {
+			if ref, ok := m.(*expr.ColumnRef); ok && substituted(act, ref) {
+				if vi, ci, err := slotOf(ref, varIndex, len(schemas), schemaOf); err == nil {
+					ref.VarIdx, ref.ColIdx = vi, ci
+				}
+			}
+			return true
+		})
+		return nil
+	})
+}
+
+// Env is one firing as the expression evaluator sees it: compiled
+// references read the binding by slot (TupleFor), and the ones Compile
+// left are resolved by name, or refused, as they are met (Unbound). The
+// pipeline keeps one in its per-token scratch; Execute builds one per
+// call.
+type Env struct {
+	Binding
+	SchemaOf func(varIdx int) *types.Schema
+	// act is the action being run; Run sets it. refErr is the first
+	// reference of this run that named nothing.
+	act    parser.Action
+	refErr error
+}
+
+// TupleFor implements expr.Env.
+func (e *Env) TupleFor(i int, old bool) types.Tuple { return e.tupleFor(i, old) }
+
+// Unbound implements expr.Resolver.
+func (e *Env) Unbound(ref *expr.ColumnRef) (types.Value, error) {
+	if !substituted(e.act, ref) {
+		return types.Null(), expr.UnboundError(ref)
+	}
+	v, err := e.Resolve(ref, e.SchemaOf)
+	if err != nil && e.refErr == nil {
+		e.refErr = err
+	}
+	return v, err
 }
 
 // StmtRunner abstracts statement execution so the embedding system can
 // wrap the database with update capture (actions that modify captured
 // tables then produce new tokens — cascaded trigger firing).
 type StmtRunner interface {
-	ExecStmt(parser.Statement) (*minisql.Result, error)
+	ExecParams(st parser.Statement, params expr.Env) (*minisql.Result, error)
 }
 
 // Executor runs trigger actions.
@@ -101,6 +191,12 @@ type Executor struct {
 
 // Execute runs one action for one firing.
 func (e *Executor) Execute(triggerID uint64, act parser.Action, b Binding, schemaOf func(int) *types.Schema) error {
+	return e.Run(triggerID, act, &Env{Binding: b, SchemaOf: schemaOf})
+}
+
+// Run is Execute over a caller-owned Env, which it may reuse between
+// firings: nothing reachable from env is kept once Run returns.
+func (e *Executor) Run(triggerID uint64, act parser.Action, env *Env) error {
 	if e.Hist != nil {
 		begin := time.Now()
 		defer func() { e.Hist.Observe(time.Since(begin)) }()
@@ -110,36 +206,38 @@ func (e *Executor) Execute(triggerID uint64, act parser.Action, b Binding, schem
 			return err
 		}
 	}
+	env.act, env.refErr = act, nil
 	switch a := act.(type) {
 	case *parser.ExecSQL:
 		if e.DB == nil {
 			return fmt.Errorf("exec: execSQL action with no database configured")
 		}
-		st, err := SubstituteStatement(a.Stmt, b, schemaOf)
-		if err != nil {
-			return err
-		}
 		begin := time.Now()
-		_, err = e.DB.ExecStmt(st)
+		_, err := e.DB.ExecParams(a.Stmt, env)
 		if e.Observe != nil {
 			e.Observe("execsql", time.Since(begin))
+		}
+		if env.refErr != nil {
+			// A reference that names nothing fails the firing as it did when
+			// substitution ran before the statement: with its own error, not
+			// the executor's account of where it met it.
+			return env.refErr
 		}
 		return err
 	case *parser.RaiseEvent:
 		if e.Bus == nil {
 			return fmt.Errorf("exec: raise event action with no event bus configured")
 		}
-		args := make(types.Tuple, len(a.Args))
-		for i, arg := range a.Args {
-			sub, err := substituteExpr(arg, b, schemaOf, true)
+		// The bus hands each raise its own copy of the arguments, so they
+		// are computed on the stack when there are few.
+		var few [8]types.Value
+		args := types.Tuple(few[:0])
+		for _, arg := range a.Args {
+			v, err := expr.EvalScalar(arg, env)
 			if err != nil {
 				return err
 			}
-			v, err := expr.EvalScalar(sub, expr.SingleEnv{})
-			if err != nil {
-				return err
-			}
-			args[i] = v
+			args = append(args, v)
 		}
 		begin := time.Now()
 		e.Bus.Raise(a.Name, args, triggerID)
@@ -152,111 +250,11 @@ func (e *Executor) Execute(triggerID uint64, act parser.Action, b Binding, schem
 	}
 }
 
-// SubstituteStatement deep-copies an execSQL statement with every
-// :NEW/:OLD parameter reference replaced by its bound value. Bare
-// column references are left alone — they address the statement's
-// target table.
+// SubstituteStatement copies an execSQL statement with every :NEW/:OLD
+// parameter reference replaced by its bound value. Bare column
+// references are left alone — they address the statement's target
+// table.
 func SubstituteStatement(st parser.Statement, b Binding, schemaOf func(int) *types.Schema) (parser.Statement, error) {
-	switch s := st.(type) {
-	case *parser.Select:
-		out := &parser.Select{Table: s.Table}
-		for _, item := range s.Items {
-			ni := parser.SelectItem{Alias: item.Alias, Star: item.Star}
-			if item.Expr != nil {
-				e, err := substituteExpr(item.Expr, b, schemaOf, false)
-				if err != nil {
-					return nil, err
-				}
-				ni.Expr = e
-			}
-			out.Items = append(out.Items, ni)
-		}
-		var err error
-		if out.Where, err = substituteExpr(s.Where, b, schemaOf, false); err != nil {
-			return nil, err
-		}
-		return out, nil
-	case *parser.Insert:
-		out := &parser.Insert{Table: s.Table, Columns: append([]string(nil), s.Columns...)}
-		for _, v := range s.Values {
-			e, err := substituteExpr(v, b, schemaOf, false)
-			if err != nil {
-				return nil, err
-			}
-			out.Values = append(out.Values, e)
-		}
-		return out, nil
-	case *parser.Update:
-		out := &parser.Update{Table: s.Table}
-		for _, sc := range s.Sets {
-			e, err := substituteExpr(sc.Value, b, schemaOf, false)
-			if err != nil {
-				return nil, err
-			}
-			out.Sets = append(out.Sets, parser.SetClause{Column: sc.Column, Value: e})
-		}
-		var err error
-		if out.Where, err = substituteExpr(s.Where, b, schemaOf, false); err != nil {
-			return nil, err
-		}
-		return out, nil
-	case *parser.Delete:
-		out := &parser.Delete{Table: s.Table}
-		var err error
-		if out.Where, err = substituteExpr(s.Where, b, schemaOf, false); err != nil {
-			return nil, err
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("exec: cannot substitute into %T", st)
-	}
-}
-
-// substituteExpr clones n, replacing parameter references (and, when
-// all is set, every column reference) with constant values from the
-// binding.
-func substituteExpr(n expr.Node, b Binding, schemaOf func(int) *types.Schema, all bool) (expr.Node, error) {
-	switch t := n.(type) {
-	case nil:
-		return nil, nil
-	case *expr.Const, *expr.Placeholder:
-		return expr.Clone(t), nil
-	case *expr.ColumnRef:
-		if t.Param || all {
-			v, err := b.Resolve(t, schemaOf)
-			if err != nil {
-				return nil, err
-			}
-			return expr.Lit(v), nil
-		}
-		return expr.Clone(t), nil
-	case *expr.Unary:
-		c, err := substituteExpr(t.Child, b, schemaOf, all)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Unary{Op: t.Op, Child: c}, nil
-	case *expr.Binary:
-		l, err := substituteExpr(t.Left, b, schemaOf, all)
-		if err != nil {
-			return nil, err
-		}
-		r, err := substituteExpr(t.Right, b, schemaOf, all)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Binary{Op: t.Op, Left: l, Right: r}, nil
-	case *expr.FuncCall:
-		out := &expr.FuncCall{Name: t.Name}
-		for _, a := range t.Args {
-			e, err := substituteExpr(a, b, schemaOf, all)
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, e)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("exec: cannot substitute %T", n)
-	}
+	env := &Env{Binding: b, SchemaOf: schemaOf}
+	return parser.MapStatement(st, func(n expr.Node) (expr.Node, error) { return expr.BindParams(n, env) })
 }

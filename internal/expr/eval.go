@@ -70,6 +70,86 @@ type Env interface {
 	TupleFor(i int, old bool) types.Tuple
 }
 
+// Resolver is an Env that also answers for column references nobody
+// bound to a position: evaluation hands it each one it meets, and the
+// value or the error it returns is the reference's. A rule action's
+// environment resolves them by name against the firing's tuple
+// variables; under a plain Env such a reference is an error.
+type Resolver interface {
+	Env
+	Unbound(ref *ColumnRef) (types.Value, error)
+}
+
+// UnboundError is the error evaluating ref gives when nothing bound or
+// resolves it.
+func UnboundError(ref *ColumnRef) error {
+	return fmt.Errorf("expr: unbound column reference %s", ref)
+}
+
+// refValue is the value a column reference denotes under env.
+func refValue(ref *ColumnRef, env Env) (types.Value, error) {
+	if ref.VarIdx < 0 || ref.ColIdx < 0 {
+		if r, ok := env.(Resolver); ok {
+			return r.Unbound(ref)
+		}
+		return types.Null(), UnboundError(ref)
+	}
+	return env.TupleFor(ref.VarIdx, ref.Old).Get(ref.ColIdx), nil
+}
+
+// BindParams returns a copy of n in which every parameter reference
+// (one written :NEW.x or :OLD.x) is the constant it denotes under env:
+// the paper's macro substitution, for the callers that need a tree to
+// plan over or to keep. Other column references are copied as they are,
+// for the caller to bind; constants are shared, not copied. A nil env
+// leaves the parameters in place too (a plain copy).
+func BindParams(n Node, env Env) (Node, error) {
+	switch t := n.(type) {
+	case nil:
+		return nil, nil
+	case *Const, *Placeholder:
+		return t, nil
+	case *ColumnRef:
+		if t.Param && env != nil {
+			v, err := refValue(t, env)
+			if err != nil {
+				return nil, err
+			}
+			return Lit(v), nil
+		}
+		c := *t
+		return &c, nil
+	case *Unary:
+		c, err := BindParams(t.Child, env)
+		if err != nil {
+			return nil, err
+		}
+		return &Unary{Op: t.Op, Child: c}, nil
+	case *Binary:
+		l, err := BindParams(t.Left, env)
+		if err != nil {
+			return nil, err
+		}
+		r, err := BindParams(t.Right, env)
+		if err != nil {
+			return nil, err
+		}
+		return &Binary{Op: t.Op, Left: l, Right: r}, nil
+	case *FuncCall:
+		out := &FuncCall{Name: t.Name, Args: make([]Node, len(t.Args))}
+		for i, a := range t.Args {
+			arg, err := BindParams(a, env)
+			if err != nil {
+				return nil, err
+			}
+			out.Args[i] = arg
+		}
+		return out, nil
+	default:
+		return nil, fmt.Errorf("expr: cannot bind parameters in %T", n)
+	}
+}
+
 // SingleEnv is an Env over exactly one tuple variable (index 0), as used
 // during selection-predicate testing against a token.
 type SingleEnv struct {
@@ -269,11 +349,7 @@ func EvalScalar(n Node, env Env) (types.Value, error) {
 	case *Placeholder:
 		return types.Null(), fmt.Errorf("expr: placeholder CONSTANT_%d evaluated without instantiation", t.Num)
 	case *ColumnRef:
-		if t.VarIdx < 0 || t.ColIdx < 0 {
-			return types.Null(), fmt.Errorf("expr: unbound column reference %s", t)
-		}
-		tu := env.TupleFor(t.VarIdx, t.Old)
-		return tu.Get(t.ColIdx), nil
+		return refValue(t, env)
 	case *Unary:
 		if t.Op == OpNeg {
 			v, err := EvalScalar(t.Child, env)
@@ -383,13 +459,14 @@ func arith(op Op, l, r types.Value) (types.Value, error) {
 }
 
 func evalFunc(f *FuncCall, env Env) (types.Value, error) {
-	args := make([]types.Value, len(f.Args))
-	for i, a := range f.Args {
+	var few [4]types.Value // the built-ins take one argument
+	args := few[:0]
+	for _, a := range f.Args {
 		v, err := EvalScalar(a, env)
 		if err != nil {
 			return types.Null(), err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	name := strings.ToLower(f.Name)
 	wantArgs := func(n int) error {

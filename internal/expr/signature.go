@@ -388,12 +388,14 @@ func (s *Signature) EqKey(consts []types.Value) (types.Tuple, error) {
 	return key, nil
 }
 
-// TokenEqKey builds the probe key for a token tuple: the values of the
-// signature's equality columns in EqCols order.
-func (s *Signature) TokenEqKey(tu types.Tuple) types.Tuple {
-	key := make(types.Tuple, len(s.EqCols))
-	for i, col := range s.EqCols {
-		key[i] = tu.Get(col)
+// AppendTokenEqKey appends the encoded probe key for a token tuple — the
+// values of the signature's equality columns in EqCols order, encoded as
+// types.EncodeKey encodes the constants' EqKey — to dst, so a prober
+// that keeps dst probes without allocating.
+func (s *Signature) AppendTokenEqKey(dst []byte, tu types.Tuple) []byte {
+	for _, col := range s.EqCols {
+		one := [1]types.Value{tu.Get(col)}
+		dst = types.EncodeKey(dst, one[:])
 	}
-	return key
+	return dst
 }

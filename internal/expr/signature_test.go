@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"bytes"
 	"testing"
 
 	"triggerman/internal/types"
@@ -71,9 +72,8 @@ func TestSignatureEqualityIndexable(t *testing.T) {
 		t.Errorf("EqKey = %v, %v", key, err)
 	}
 	tok := types.Tuple{types.NewString("Bob"), types.NewInt(1), types.NewString("d")}
-	probe := sig.TokenEqKey(tok)
-	if !probe.Equal(key) {
-		t.Errorf("probe %v != key %v", probe, key)
+	if probe := sig.AppendTokenEqKey(nil, tok); !bytes.Equal(probe, types.EncodeKey(nil, key)) {
+		t.Errorf("probe %x != key %v", probe, key)
 	}
 }
 

@@ -505,13 +505,23 @@ func boundNode(l *List, iv Interval) *node {
 
 // Stab returns every stored interval containing v, in unspecified order.
 func (l *List) Stab(v types.Value, fn func(Interval) bool) {
-	seen := make(map[uint64]bool)
+	// An interval lives in exactly one store (always, loBounds, hiBounds
+	// or the node markers), and only markers can show it twice, so the
+	// seen set is built when the first marker is met and not before: a
+	// list of one-sided ranges, which is what a predicate index holds,
+	// stabs without allocating.
+	var seen map[uint64]bool
 	emit := func(ms map[uint64]Interval) bool {
 		for id, iv := range ms {
 			if seen[id] {
 				continue
 			}
-			seen[id] = true
+			if !iv.LoUnbounded && !iv.HiUnbounded {
+				if seen == nil {
+					seen = make(map[uint64]bool)
+				}
+				seen[id] = true
+			}
 			// Covering (not maximal) markers can over-approximate after
 			// edge splits; re-check containment for exactness.
 			if !iv.Contains(v) {

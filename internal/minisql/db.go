@@ -332,9 +332,12 @@ func (t *Table) Insert(tu types.Tuple) (storage.RID, error) {
 	if err := t.validate(tu); err != nil {
 		return storage.RID{}, err
 	}
+	// The heap copies the record into its page, so the encoding dies with
+	// this call: a row of ordinary width is laid out on the stack.
+	var buf [256]byte
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, err := t.heap.Insert(types.EncodeTuple(nil, tu))
+	rid, err := t.heap.Insert(types.EncodeTuple(buf[:0], tu))
 	if err != nil {
 		return storage.RID{}, err
 	}
@@ -414,7 +417,8 @@ func (t *Table) UpdateRow(rid storage.RID, tu types.Tuple) (storage.RID, error) 
 	if err != nil {
 		return storage.RID{}, err
 	}
-	nrid, err := t.heap.Update(rid, types.EncodeTuple(nil, tu))
+	var buf [256]byte // as in Insert
+	nrid, err := t.heap.Update(rid, types.EncodeTuple(buf[:0], tu))
 	if err != nil {
 		return storage.RID{}, err
 	}

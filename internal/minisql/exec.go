@@ -42,23 +42,51 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	return db.ExecStmt(st)
 }
 
-// ExecStmt executes a pre-parsed statement. Column references in the
-// statement must resolve against the target table; :NEW/:OLD references
-// must already have been substituted away (the exec package performs
-// the paper's macro substitution before calling here).
+// ExecStmt executes a pre-parsed statement that holds no :NEW/:OLD
+// parameter references. Its column references must resolve against the
+// target table.
 func (db *DB) ExecStmt(st parser.Statement) (*Result, error) {
+	return db.ExecParams(st, nil)
+}
+
+// ExecParams executes a pre-parsed statement whose :NEW/:OLD parameter
+// references take their values from params (the exec package's view of
+// one firing: the paper's macro substitution, done by reading the slot
+// the reference was resolved to instead of by rewriting the statement).
+// The statement is shared between firings and is not written to: a
+// value expression is evaluated where it stands, and an expression that
+// must be bound to the table's columns (a where clause, a set value, a
+// select item) is copied once, with its parameters as constants so the
+// planner can use them. Every other column reference must resolve
+// against the target table.
+func (db *DB) ExecParams(st parser.Statement, params expr.Env) (*Result, error) {
 	switch s := st.(type) {
 	case *parser.Select:
-		return db.execSelect(s)
+		return db.execSelect(s, params)
 	case *parser.Insert:
-		return db.execInsert(s)
+		return db.execInsert(s, params)
 	case *parser.Update:
-		return db.execUpdate(s)
+		return db.execUpdate(s, params)
 	case *parser.Delete:
-		return db.execDelete(s)
+		return db.execDelete(s, params)
 	default:
 		return nil, fmt.Errorf("minisql: unsupported statement %T", st)
 	}
+}
+
+// noParams is the environment of a statement executed without
+// parameters: every tuple variable reads NULL.
+var noParams expr.Env = expr.SingleEnv{}
+
+// bound returns a copy of n that the executor may evaluate per row:
+// parameters replaced by their values under params, column references
+// resolved against the table's schema.
+func bound(t *Table, n expr.Node, params expr.Env) (expr.Node, error) {
+	c, err := expr.BindParams(n, params)
+	if err != nil {
+		return nil, err
+	}
+	return c, bindTo(t, c)
 }
 
 // bindTo resolves column refs in n against the table's schema. The
@@ -276,13 +304,13 @@ func truncateTo(k, bound []byte) []byte {
 	return k
 }
 
-func (db *DB) execSelect(s *parser.Select) (*Result, error) {
+func (db *DB) execSelect(s *parser.Select, params expr.Env) (*Result, error) {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	where := expr.Clone(s.Where)
-	if err := bindTo(t, where); err != nil {
+	where, err := bound(t, s.Where, params)
+	if err != nil {
 		return nil, err
 	}
 	// Projection setup.
@@ -296,8 +324,8 @@ func (db *DB) execSelect(s *parser.Select) (*Result, error) {
 			}
 			continue
 		}
-		e := expr.Clone(item.Expr)
-		if err := bindTo(t, e); err != nil {
+		e, err := bound(t, item.Expr, params)
+		if err != nil {
 			return nil, err
 		}
 		name := item.Alias
@@ -346,19 +374,20 @@ func (db *DB) execSelect(s *parser.Select) (*Result, error) {
 	return res, nil
 }
 
-func (db *DB) execInsert(s *parser.Insert) (*Result, error) {
+func (db *DB) execInsert(s *parser.Insert, params expr.Env) (*Result, error) {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	tu := make(types.Tuple, t.Schema.Arity())
-	for i := range tu {
-		tu[i] = types.Null()
+	if params == nil {
+		params = noParams
 	}
+	// The row is handed to the table and to the caller's change list: it
+	// owns its memory.
+	tu := make(types.Tuple, t.Schema.Arity())
 	for i, ve := range s.Values {
-		e := expr.Clone(ve)
 		// Value expressions may not reference table columns.
-		v, err := expr.EvalScalar(e, expr.SingleEnv{})
+		v, err := expr.EvalScalar(ve, params)
 		if err != nil {
 			return nil, fmt.Errorf("minisql: insert value %d: %w", i+1, err)
 		}
@@ -381,13 +410,13 @@ func (db *DB) execInsert(s *parser.Insert) (*Result, error) {
 	return &Result{Affected: 1, Table: t.Name, Changes: []RowChange{{New: tu}}}, nil
 }
 
-func (db *DB) execUpdate(s *parser.Update) (*Result, error) {
+func (db *DB) execUpdate(s *parser.Update, params expr.Env) (*Result, error) {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	where := expr.Clone(s.Where)
-	if err := bindTo(t, where); err != nil {
+	where, err := bound(t, s.Where, params)
+	if err != nil {
 		return nil, err
 	}
 	type setc struct {
@@ -400,8 +429,8 @@ func (db *DB) execUpdate(s *parser.Update) (*Result, error) {
 		if col < 0 {
 			return nil, fmt.Errorf("minisql: unknown column %q in update", sc.Column)
 		}
-		e := expr.Clone(sc.Value)
-		if err := bindTo(t, e); err != nil {
+		e, err := bound(t, sc.Value, params)
+		if err != nil {
 			return nil, err
 		}
 		sets = append(sets, setc{col, e})
@@ -458,13 +487,13 @@ func (db *DB) execUpdate(s *parser.Update) (*Result, error) {
 	return res, nil
 }
 
-func (db *DB) execDelete(s *parser.Delete) (*Result, error) {
+func (db *DB) execDelete(s *parser.Delete, params expr.Env) (*Result, error) {
 	t, err := db.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	where := expr.Clone(s.Where)
-	if err := bindTo(t, where); err != nil {
+	where, err := bound(t, s.Where, params)
+	if err != nil {
 		return nil, err
 	}
 	pl := t.choosePlan(where)

@@ -2,6 +2,7 @@ package predindex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,14 +20,15 @@ import (
 // equivalence class and the triggerID set attached to each constant
 // (Figure 4). Implementations are the four organizations of §5.2.
 //
-// match streams the refs of constants whose indexable part accepts the
-// token tuple; the caller tests each ref's rest-of-predicate. part
-// selects one triggerID-set partition (-1 = all). The returned count
-// approximates the constant comparisons / probes performed.
+// match appends to buf.Matches the refs of constants whose indexable
+// part accepts the token tuple (only Match.Ref is filled in); the caller
+// tests each ref's rest-of-predicate. part selects one triggerID-set
+// partition (-1 = all). The returned count approximates the constant
+// comparisons / probes performed.
 type constantSet interface {
 	add(consts types.Tuple, ref Ref) error
 	remove(consts types.Tuple, exprID uint64) (bool, error)
-	match(tuple types.Tuple, part int, pc probe, emit func(Ref) bool) (int, error)
+	match(buf *Buffer, tuple types.Tuple, part int) (int, error)
 	forEach(fn func(consts types.Tuple, ref Ref) error) error
 	repartition(n int) error
 	// describe names the concrete predicate-testing structure for
@@ -68,7 +70,9 @@ func (c *centry) removeRef(exprID uint64) bool {
 	for pi, p := range c.parts {
 		for i, r := range p {
 			if r.ExprID == exprID {
-				c.parts[pi] = append(p[:i], p[i+1:]...)
+				// Delete zeroes the vacated tail, so the dropped ref's
+				// predicate is not kept alive by the backing array.
+				c.parts[pi] = slices.Delete(p, i, i+1)
 				return true
 			}
 		}
@@ -76,40 +80,29 @@ func (c *centry) removeRef(exprID uint64) bool {
 	return false
 }
 
-// emitCounted charges the centry's phase-reconciled probe/match stats
-// and streams the selected partition(s). The probe charge lands before
-// emission (a token consulted this constant); the match charge batches
-// the streamed-ref count in one add.
-func (c *centry) emitCounted(part int, pc probe, emit func(Ref) bool) bool {
-	c.cProbes.Add(pc.dom, pc.slot, 1)
-	var n int64
-	ok := c.emit(part, func(r Ref) bool {
-		n++
-		return emit(r)
-	})
-	if n != 0 {
-		c.cMatches.Add(pc.dom, pc.slot, n)
+// appendCounted charges the centry's phase-reconciled probe/match stats
+// and appends the selected partition(s) to buf.Matches. The probe charge
+// lands first (a token consulted this constant); the match charge
+// batches the appended-ref count in one add.
+func (c *centry) appendCounted(buf *Buffer, part int) {
+	c.cProbes.Add(buf.dom, buf.slot, 1)
+	before := len(buf.Matches)
+	if part >= 0 {
+		buf.appendRefs(c.parts[part%len(c.parts)])
+	} else {
+		for _, p := range c.parts {
+			buf.appendRefs(p)
+		}
 	}
-	return ok
+	if n := len(buf.Matches) - before; n != 0 {
+		c.cMatches.Add(buf.dom, buf.slot, int64(n))
+	}
 }
 
-func (c *centry) emit(part int, emit func(Ref) bool) bool {
-	if part >= 0 {
-		for _, r := range c.parts[part%len(c.parts)] {
-			if !emit(r) {
-				return false
-			}
-		}
-		return true
+func (b *Buffer) appendRefs(refs []Ref) {
+	for _, r := range refs {
+		b.Matches = append(b.Matches, Match{Ref: r})
 	}
-	for _, p := range c.parts {
-		for _, r := range p {
-			if !emit(r) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (c *centry) refCount() int {
@@ -186,11 +179,15 @@ func matchesIndexable(sig *expr.Signature, c *centry, tuple types.Tuple, eqProbe
 	}
 }
 
-func eqProbeFor(sig *expr.Signature, tuple types.Tuple) []byte {
+// eqProbeFor encodes the token's equality probe key into the buffer's
+// key scratch, which it returns; nil for a non-equality signature.
+func eqProbeFor(sig *expr.Signature, tuple types.Tuple, buf *Buffer) []byte {
 	if sig.Indexability() != expr.IndexEquality {
 		return nil
 	}
-	return types.EncodeKey(nil, sig.TokenEqKey(tuple))
+	key := sig.AppendTokenEqKey(buf.key[:0], tuple)
+	buf.key = key
+	return key
 }
 
 func constKeyFor(sig *expr.Signature, consts types.Tuple) ([]byte, error) {
@@ -246,7 +243,7 @@ func (m *memList) remove(consts types.Tuple, exprID uint64) (bool, error) {
 	if c.refCount() == 0 {
 		for i, pc := range m.entries {
 			if pc == c {
-				m.entries = append(m.entries[:i], m.entries[i+1:]...)
+				m.entries = slices.Delete(m.entries, i, i+1)
 				break
 			}
 		}
@@ -255,18 +252,14 @@ func (m *memList) remove(consts types.Tuple, exprID uint64) (bool, error) {
 	return true, nil
 }
 
-func (m *memList) match(tuple types.Tuple, part int, pc probe, emit func(Ref) bool) (int, error) {
-	eqp := eqProbeFor(m.sig, tuple)
-	compares := 0
+func (m *memList) match(buf *Buffer, tuple types.Tuple, part int) (int, error) {
+	eqp := eqProbeFor(m.sig, tuple, buf)
 	for _, c := range m.entries {
-		compares++
 		if matchesIndexable(m.sig, c, tuple, eqp) {
-			if !c.emitCounted(part, pc, emit) {
-				break
-			}
+			c.appendCounted(buf, part)
 		}
 	}
-	return compares, nil
+	return len(m.entries), nil
 }
 
 func (m *memList) forEach(fn func(types.Tuple, Ref) error) error {
@@ -434,7 +427,7 @@ func (m *memIndex) remove(consts types.Tuple, exprID uint64) (bool, error) {
 		if c.refCount() == 0 {
 			for i, pc := range m.plain {
 				if pc == c {
-					m.plain = append(m.plain[:i], m.plain[i+1:]...)
+					m.plain = slices.Delete(m.plain, i, i+1)
 					break
 				}
 			}
@@ -444,12 +437,12 @@ func (m *memIndex) remove(consts types.Tuple, exprID uint64) (bool, error) {
 	}
 }
 
-func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) bool) (int, error) {
+func (m *memIndex) match(buf *Buffer, tuple types.Tuple, part int) (int, error) {
 	switch m.sig.Indexability() {
 	case expr.IndexEquality:
-		eqp := eqProbeFor(m.sig, tuple)
+		eqp := eqProbeFor(m.sig, tuple, buf)
 		if c, ok := m.byKey[string(eqp)]; ok {
-			c.emitCounted(part, pc, emit)
+			c.appendCounted(buf, part)
 		}
 		return 1, nil
 	case expr.IndexRange:
@@ -460,25 +453,20 @@ func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) b
 		compares := 0
 		m.isl.Stab(v, func(iv intervalskiplist.Interval) bool {
 			compares++
-			c, ok := m.byID[iv.ID]
-			if !ok {
-				return true
+			if c, ok := m.byID[iv.ID]; ok {
+				c.appendCounted(buf, part)
 			}
-			return c.emitCounted(part, pc, emit)
+			return true
 		})
 		if compares == 0 {
 			compares = 1
 		}
 		return compares, nil
 	default:
-		compares := 0
 		for _, c := range m.plain {
-			compares++
-			if !c.emitCounted(part, pc, emit) {
-				break
-			}
+			c.appendCounted(buf, part)
 		}
-		return compares, nil
+		return len(m.plain), nil
 	}
 }
 
@@ -715,7 +703,7 @@ func (ts *tableSet) whereFor(tuple types.Tuple) expr.Node {
 	}
 }
 
-func (ts *tableSet) match(tuple types.Tuple, part int, _ probe, emit func(Ref) bool) (int, error) {
+func (ts *tableSet) match(buf *Buffer, tuple types.Tuple, part int) (int, error) {
 	if !ts.created {
 		return 0, nil
 	}
@@ -743,9 +731,7 @@ func (ts *tableSet) match(tuple types.Tuple, part int, _ probe, emit func(Ref) b
 		if part >= 0 && int(ref.ExprID)%ts.nparts != part%ts.nparts {
 			continue
 		}
-		if !emit(ref) {
-			break
-		}
+		buf.Matches = append(buf.Matches, Match{Ref: ref})
 	}
 	return compares, nil
 }

@@ -95,6 +95,7 @@ func TestPropertyProbeDuringReconcile(t *testing.T) {
 		go func(slot int) {
 			defer probers.Done()
 			var local int64
+			var buf Buffer
 			for i := 0; i < probesEach; i++ {
 				var tok datasource.Token
 				if i%2 == 0 {
@@ -102,13 +103,12 @@ func TestPropertyProbeDuringReconcile(t *testing.T) {
 				} else {
 					tok = insertTok(fmt.Sprintf("c%02d", (i/2+slot)%ncold), int64(i), "d00")
 				}
-				if err := ix.Match(tok, MatchCtx{Part: AllParts, Slot: slot}, func(Match) bool {
-					local++
-					return true
-				}); err != nil {
+				buf.Reset()
+				if err := ix.Match(&buf, tok, MatchCtx{Part: AllParts, Slot: slot}); err != nil {
 					errCh <- err
 					return
 				}
+				local += int64(len(buf.Matches))
 				if i%16 == 0 {
 					runtime.Gosched() // interleave on single-P schedulers too
 				}
@@ -162,7 +162,7 @@ func TestPropertyProbeDuringReconcile(t *testing.T) {
 	// re-arms whatever the tail demoted, and the totals below include it.
 	const burst = 2 * writers
 	for i := 0; i < burst; i++ {
-		if err := ix.Match(insertTok("hot", 1, "d00"), MatchCtx{Part: AllParts, Slot: i % writers}, func(Match) bool { return true }); err != nil {
+		if err := ix.Match(new(Buffer), insertTok("hot", 1, "d00"), MatchCtx{Part: AllParts, Slot: i % writers}); err != nil {
 			t.Fatal(err)
 		}
 	}

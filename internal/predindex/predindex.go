@@ -722,25 +722,54 @@ type MatchCtx struct {
 // AllParts is the MatchCtx.Part value that probes every partition.
 const AllParts = -1
 
-// MatchToken is Match with no context: every partition, no driver slot.
-func (ix *Index) MatchToken(tok datasource.Token, fn func(Match) bool) error {
-	return ix.Match(tok, MatchCtx{Part: AllParts, Slot: phasecounter.NoSlot}, fn)
-}
-
-// probe carries the prober's worker identity and the reconcile domain
-// down into the constant-set organizations, so per-centry counters can
-// slice per driver.
-type probe struct {
+// Buffer is the memory a probe works in, owned by the caller: Match
+// appends its matches to Matches and encodes probe keys and evaluates
+// rest-of-predicates in the scratch beside it, so a caller that reuses
+// one Buffer probes without allocating once it has grown to fit. The
+// Matches hold pointers into the index's predicates: clear them (Reset)
+// before parking a Buffer anywhere long-lived, or a dropped trigger's
+// predicate stays reachable through it.
+type Buffer struct {
+	Matches []Match
+	key     []byte         // equality probe key
+	env     expr.SingleEnv // rest-of-predicate environment; passed by pointer, so not boxed per test
+	// The prober's worker identity and the reconcile domain, set by Match
+	// and read by the constant-set organizations so per-centry counters
+	// can slice per driver.
 	dom  *phasecounter.Domain
 	slot int
 }
 
-// Match probes the index with a token and streams every matching
-// expression instance. This is the §5.4 algorithm: locate the data
-// source predicate index, consult each signature's predicate-testing
-// structure, then test remaining clauses of partially indexable
-// predicates.
-func (ix *Index) Match(tok datasource.Token, ctx MatchCtx, fn func(Match) bool) error {
+// Reset empties the buffer, keeping its capacity and dropping every
+// pointer it held. (Match zeroes what it drops, so nothing lives past
+// the length.)
+func (b *Buffer) Reset() {
+	clear(b.Matches)
+	b.Matches = b.Matches[:0]
+	b.env = expr.SingleEnv{}
+}
+
+// MatchToken is Match with no context and a buffer of its own: every
+// partition, no driver slot, each match handed to fn until it returns
+// false.
+func (ix *Index) MatchToken(tok datasource.Token, fn func(Match) bool) error {
+	var buf Buffer
+	err := ix.Match(&buf, tok, MatchCtx{Part: AllParts, Slot: phasecounter.NoSlot})
+	for _, m := range buf.Matches {
+		if !fn(m) {
+			break
+		}
+	}
+	return err
+}
+
+// Match probes the index with a token and appends every matching
+// expression instance to buf.Matches. This is the §5.4 algorithm: locate
+// the data source predicate index, consult each signature's
+// predicate-testing structure, then test remaining clauses of partially
+// indexable predicates. On an error the matches found so far stay
+// appended.
+func (ix *Index) Match(buf *Buffer, tok datasource.Token, ctx MatchCtx) error {
 	part, slot := ctx.Part, ctx.Slot
 	if ix.matchHist != nil {
 		begin := time.Now()
@@ -756,15 +785,11 @@ func (ix *Index) Match(tok datasource.Token, ctx MatchCtx, fn func(Match) bool) 
 	}
 	sigs := si.signatures()
 
-	pc := probe{dom: ix.dom, slot: slot}
-	ix.stats.tokens.Add(pc.dom, slot, 1)
+	buf.dom, buf.slot = ix.dom, slot
+	ix.stats.tokens.Add(ix.dom, slot, 1)
 	tuple := tok.Effective()
 	var sigProbes, restTests, matches int64
-	stop := false
 	for _, e := range sigs {
-		if stop {
-			break
-		}
 		if !e.Mask.Matches(tok) {
 			continue
 		}
@@ -775,8 +800,9 @@ func (ix *Index) Match(tok datasource.Token, ctx MatchCtx, fn func(Match) bool) 
 		// reader side. Probes share it — probe-vs-probe stays concurrent —
 		// and per-probe tallies are phase-reconciled counters, so the only
 		// shared read-modify-write left on this path is the lock word
-		// itself. Match callbacks must not mutate this entry (the system
-		// buffers matches and routes them after the probe returns).
+		// itself. Nothing but the index's own code runs under it: the
+		// candidates are buffered, and the caller routes them after Match
+		// returns.
 		e.mu.RLock()
 		set := e.set
 		parts := e.partitions
@@ -790,56 +816,58 @@ func (ix *Index) Match(tok datasource.Token, ctx MatchCtx, fn func(Match) bool) 
 		if probePart >= parts {
 			probePart = probePart % parts
 		}
-		e.cProbes.Add(pc.dom, slot, 1)
-		var sigMatches int64
-		compares, err := set.match(tuple, probePart, pc, func(ref Ref) bool {
-			if len(ref.Rest.Clauses) > 0 {
+		e.cProbes.Add(ix.dom, slot, 1)
+		first := len(buf.Matches)
+		compares, err := set.match(buf, tuple, probePart)
+		e.mu.RUnlock()
+		// Keep the candidates whose rest-of-predicate holds, in place.
+		cands := buf.Matches
+		kept := cands[:first]
+		for _, m := range cands[first:] {
+			if len(m.Rest.Clauses) > 0 {
 				restTests++
-				old := tok.Old
-				if ref.Aggregate {
+				buf.env = expr.SingleEnv{New: tuple, Old: tok.Old}
+				if m.Aggregate {
 					// What a group holds is a property of its rows, not of
 					// how they got there: :OLD reads NULL. (The catalog keeps
 					// :OLD out of a multi-variable ref's Rest.)
-					old = nil
+					buf.env.Old = nil
 				}
-				ok, err := expr.EvalPredicate(ref.Rest.Node(), expr.SingleEnv{New: tuple, Old: old})
-				if err != nil || ok != expr.True {
+				ok, rerr := expr.EvalPredicate(m.Rest.Node(), &buf.env)
+				if rerr != nil || ok != expr.True {
 					// Charge the failed probe on this cold branch; the hot
 					// (matching) branch folds probe+match into one lookup.
 					if p := ix.prof; p != nil {
-						p.MatchProbe(ref.TriggerID, slot)
+						p.MatchProbe(m.TriggerID, slot)
 					}
-					return true
+					continue
 				}
 			}
-			matches++
-			sigMatches++
 			if p := ix.prof; p != nil {
-				p.MatchHit(ref.TriggerID, slot)
+				p.MatchHit(m.TriggerID, slot)
 			}
-			if !fn(Match{Ref: ref, SourceID: tok.SourceID}) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		e.mu.RUnlock()
-		if sigMatches > 0 {
-			e.cMatches.Add(pc.dom, slot, sigMatches)
+			m.SourceID = tok.SourceID
+			kept = append(kept, m)
 		}
-		ix.stats.constCompares.Add(pc.dom, slot, int64(compares))
+		clear(cands[len(kept):])
+		buf.Matches = kept
+		if n := int64(len(kept) - first); n > 0 {
+			matches += n
+			e.cMatches.Add(ix.dom, slot, n)
+		}
+		ix.stats.constCompares.Add(ix.dom, slot, int64(compares))
 		if err != nil {
 			return err
 		}
 	}
 	if sigProbes > 0 {
-		ix.stats.sigProbes.Add(pc.dom, slot, sigProbes)
+		ix.stats.sigProbes.Add(ix.dom, slot, sigProbes)
 	}
 	if restTests > 0 {
-		ix.stats.restTests.Add(pc.dom, slot, restTests)
+		ix.stats.restTests.Add(ix.dom, slot, restTests)
 	}
 	if matches > 0 {
-		ix.stats.matches.Add(pc.dom, slot, matches)
+		ix.stats.matches.Add(ix.dom, slot, matches)
 	}
 	return nil
 }

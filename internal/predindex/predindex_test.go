@@ -278,13 +278,11 @@ func TestPartitionedTriggerIDSets(t *testing.T) {
 	seen := map[uint64]int{}
 	total := 0
 	for p := 0; p < 4; p++ {
-		var ms []Match
-		if err := ix.Match(tok, MatchCtx{Part: p, Slot: phasecounter.NoSlot}, func(m Match) bool {
-			ms = append(ms, m)
-			return true
-		}); err != nil {
+		var buf Buffer
+		if err := ix.Match(&buf, tok, MatchCtx{Part: p, Slot: phasecounter.NoSlot}); err != nil {
 			t.Fatal(err)
 		}
+		ms := buf.Matches
 		if len(ms) != 10 {
 			t.Errorf("partition %d matched %d, want 10", p, len(ms))
 		}

@@ -1,11 +1,11 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"time"
 
+	"triggerman/internal/lru"
 	"triggerman/internal/metrics"
 )
 
@@ -18,7 +18,7 @@ type BufferPool struct {
 	disk   DiskManager
 	cap    int
 	frames map[PageID]*frame
-	lru    *list.List // front = most recent; holds unpinned page IDs
+	lru    lru.List[*frame] // front = most recent; holds the unpinned frames
 
 	stats PoolStats
 
@@ -35,7 +35,7 @@ type frame struct {
 	page  *Page
 	pins  int
 	dirty bool
-	lruEl *list.Element // non-nil only while unpinned
+	lru   lru.Node[*frame] // listed only while unpinned
 }
 
 // NewBufferPool builds a pool of capacity frames over disk. Capacity
@@ -48,7 +48,6 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 		disk:   disk,
 		cap:    capacity,
 		frames: make(map[PageID]*frame, capacity),
-		lru:    list.New(),
 	}
 }
 
@@ -100,7 +99,7 @@ func (bp *BufferPool) FetchPage(id PageID) (*Page, error) {
 	defer bp.mu.Unlock()
 	if fr, ok := bp.frames[id]; ok {
 		bp.stats.Hits++
-		bp.pinLocked(id, fr)
+		bp.pinLocked(fr)
 		return fr.page, nil
 	}
 	bp.stats.Misses++
@@ -132,12 +131,9 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	return fr.page, nil
 }
 
-func (bp *BufferPool) pinLocked(id PageID, fr *frame) {
+func (bp *BufferPool) pinLocked(fr *frame) {
 	fr.pins++
-	if fr.lruEl != nil {
-		bp.lru.Remove(fr.lruEl)
-		fr.lruEl = nil
-	}
+	bp.lru.Remove(&fr.lru)
 }
 
 // allocFrameLocked finds a free frame (evicting if needed), installs an
@@ -149,24 +145,25 @@ func (bp *BufferPool) allocFrameLocked(id PageID) (*frame, error) {
 		}
 	}
 	fr := &frame{page: &Page{ID: id}, pins: 1}
+	fr.lru.Value = fr
 	bp.frames[id] = fr
 	return fr, nil
 }
 
 func (bp *BufferPool) evictLocked() error {
-	el := bp.lru.Back()
-	if el == nil {
+	back := bp.lru.Back()
+	if back == nil {
 		return fmt.Errorf("storage: buffer pool exhausted (%d frames, all pinned)", bp.cap)
 	}
-	victim := el.Value.(PageID)
-	fr := bp.frames[victim]
+	fr := back.Value
+	victim := fr.page.ID
 	if fr.dirty {
 		if err := bp.writePage(victim, fr.page.Data[:]); err != nil {
 			return err
 		}
 		bp.stats.Flushes++
 	}
-	bp.lru.Remove(el)
+	bp.lru.Remove(back)
 	delete(bp.frames, victim)
 	bp.stats.Evictions++
 	return nil
@@ -189,7 +186,7 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 		fr.dirty = true
 	}
 	if fr.pins == 0 {
-		fr.lruEl = bp.lru.PushFront(id)
+		bp.lru.PushFront(&fr.lru)
 	}
 	return nil
 }

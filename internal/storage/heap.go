@@ -143,6 +143,33 @@ func (h *HeapFile) Delete(rid RID) error {
 	return h.bp.Unpin(rid.Page, true)
 }
 
+// Take shows the record at rid to fn and then removes it, in one visit
+// to its page. The rec slice is only valid during the call; when fn
+// fails the record stays.
+func (h *HeapFile) Take(rid RID, fn func(rec []byte) error) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	p, err := h.bp.FetchPage(rid.Page)
+	if err != nil {
+		return err
+	}
+	rec := p.Record(int(rid.Slot))
+	if rec == nil {
+		h.bp.Unpin(rid.Page, false)
+		return fmt.Errorf("storage: no record at %s", rid)
+	}
+	if err := fn(rec); err != nil {
+		h.bp.Unpin(rid.Page, false)
+		return err
+	}
+	if err := p.DeleteRecord(int(rid.Slot)); err != nil {
+		h.bp.Unpin(rid.Page, false)
+		return err
+	}
+	h.count--
+	return h.bp.Unpin(rid.Page, true)
+}
+
 // Update replaces the record at rid in place when it fits; otherwise it
 // deletes and re-inserts, returning the (possibly new) RID.
 func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {

@@ -22,25 +22,28 @@ import (
 // EncodeTuple appends the binary encoding of t to dst and returns the
 // extended slice.
 func EncodeTuple(dst []byte, t Tuple) []byte {
-	var n [4]byte
-	binary.LittleEndian.PutUint16(n[:2], uint16(len(t)))
-	dst = append(dst, n[0], n[1])
-	for _, v := range t {
+	return AppendValues(AppendCount(dst, len(t)), t)
+}
+
+// AppendCount appends a tuple header announcing n columns. A record that
+// is one tuple laid out from several pieces (the queue's token record)
+// writes the header once and AppendValues per piece.
+func AppendCount(dst []byte, n int) []byte {
+	return binary.LittleEndian.AppendUint16(dst, uint16(n))
+}
+
+// AppendValues appends the encoding of vs' columns, without a header.
+func AppendValues(dst []byte, vs Tuple) []byte {
+	for _, v := range vs {
 		dst = append(dst, byte(v.kind))
 		switch v.kind {
 		case KindNull:
 		case KindInt:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(v.i))
-			dst = append(dst, b[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
 		case KindFloat:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.f))
-			dst = append(dst, b[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
 		case KindChar, KindVarchar:
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], uint32(len(v.s)))
-			dst = append(dst, b[:]...)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.s)))
 			dst = append(dst, v.s...)
 		}
 	}
@@ -50,59 +53,78 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 // DecodeTuple parses a tuple from the front of buf, returning the tuple
 // and the number of bytes consumed.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
+	n, err := DecodeCount(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	t := make(Tuple, n)
+	used, err := DecodeValues(t, buf[2:])
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, 2 + used, nil
+}
+
+// DecodeCount reads the tuple header at the front of buf.
+func DecodeCount(buf []byte) (int, error) {
 	if len(buf) < 2 {
-		return nil, 0, fmt.Errorf("types: tuple header truncated (%d bytes)", len(buf))
+		return 0, fmt.Errorf("types: tuple header truncated (%d bytes)", len(buf))
 	}
 	n := int(binary.LittleEndian.Uint16(buf[:2]))
 	// Every column takes at least its kind byte, so a count the buffer
 	// cannot hold is garbage — refuse it before it sizes an allocation.
 	if n > len(buf)-2 {
-		return nil, 0, fmt.Errorf("types: tuple header claims %d columns in %d bytes", n, len(buf)-2)
+		return 0, fmt.Errorf("types: tuple header claims %d columns in %d bytes", n, len(buf)-2)
 	}
-	pos := 2
-	t := make(Tuple, 0, n)
-	for c := 0; c < n; c++ {
+	return n, nil
+}
+
+// DecodeValues fills dst with the len(dst) columns encoded at the front
+// of buf (after any header) and returns the number of bytes consumed.
+func DecodeValues(dst Tuple, buf []byte) (int, error) {
+	pos := 0
+	for c := range dst {
 		if pos >= len(buf) {
-			return nil, 0, fmt.Errorf("types: tuple truncated at column %d", c)
+			return 0, fmt.Errorf("types: tuple truncated at column %d", c)
 		}
 		kind := Kind(buf[pos])
 		pos++
 		switch kind {
 		case KindNull:
-			t = append(t, Null())
+			dst[c] = Null()
 		case KindInt:
 			if pos+8 > len(buf) {
-				return nil, 0, fmt.Errorf("types: int payload truncated at column %d", c)
+				return 0, fmt.Errorf("types: int payload truncated at column %d", c)
 			}
-			t = append(t, NewInt(int64(binary.LittleEndian.Uint64(buf[pos:]))))
+			dst[c] = NewInt(int64(binary.LittleEndian.Uint64(buf[pos:])))
 			pos += 8
 		case KindFloat:
 			if pos+8 > len(buf) {
-				return nil, 0, fmt.Errorf("types: float payload truncated at column %d", c)
+				return 0, fmt.Errorf("types: float payload truncated at column %d", c)
 			}
-			t = append(t, NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))))
+			dst[c] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:])))
 			pos += 8
 		case KindChar, KindVarchar:
 			if pos+4 > len(buf) {
-				return nil, 0, fmt.Errorf("types: string header truncated at column %d", c)
+				return 0, fmt.Errorf("types: string header truncated at column %d", c)
 			}
 			l := int(binary.LittleEndian.Uint32(buf[pos:]))
 			pos += 4
 			if pos+l > len(buf) {
-				return nil, 0, fmt.Errorf("types: string payload truncated at column %d", c)
+				return 0, fmt.Errorf("types: string payload truncated at column %d", c)
 			}
 			s := string(buf[pos : pos+l])
 			pos += l
 			if kind == KindChar {
-				t = append(t, NewChar(s))
+				dst[c] = NewChar(s)
 			} else {
-				t = append(t, NewString(s))
+				dst[c] = NewString(s)
 			}
 		default:
-			return nil, 0, fmt.Errorf("types: unknown kind tag %d at column %d", kind, c)
+			return 0, fmt.Errorf("types: unknown kind tag %d at column %d", kind, c)
 		}
 	}
-	return t, pos, nil
+	return pos, nil
 }
 
 // EncodedSize returns the number of bytes EncodeTuple will emit for t.

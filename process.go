@@ -3,7 +3,6 @@ package triggerman
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"triggerman/internal/admission"
@@ -12,6 +11,7 @@ import (
 	"triggerman/internal/datasource"
 	"triggerman/internal/discrim"
 	"triggerman/internal/exec"
+	"triggerman/internal/expr"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
 	"triggerman/internal/predindex"
@@ -101,23 +101,23 @@ func (s *System) applyTraced(tok datasource.Token, parent uint64, flags byte) er
 	// not lose a captured update. A retried enqueue whose first attempt
 	// partially succeeded can duplicate the token — delivery is
 	// at-least-once, never at-most-zero.
-	var queued datasource.Token
-	if _, err := s.queueRetry.Do(func() error {
-		var e error
-		queued, e = s.queue.Enqueue(tok)
-		return e
-	}); err != nil {
+	w := s.getWork()
+	w.tok = tok
+	_, err := s.queueRetry.Do(w.enqueueFn)
+	seq := w.seq.Load()
+	s.putWork(w)
+	if err != nil {
 		sp.Finish()
 		return err
 	}
 	sp.Mark(trace.StageCapture)
-	s.tracer.Attach(queued.Seq, sp)
+	s.tracer.Attach(seq, sp)
 	s.cTokensIn.Inc()
 	// Either way the retry covers transient *dequeue* failures only: the
 	// tokens are still queued, so pumping again finds them. A token that
 	// did leave the queue is stage's, so a re-run can never strand one.
 	if s.pool == nil {
-		_, err := s.queueRetry.Do(func() error { return s.pump(taskq.NoSlot) })
+		_, err := s.queueRetry.Do(s.pumpInline)
 		return err
 	}
 	// The key routes the task to the source's home shard: one source's
@@ -126,7 +126,7 @@ func (s *System) applyTraced(tok datasource.Token, parent uint64, flags byte) er
 	return s.pool.Submit(taskq.Task{
 		Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID),
 		Pri:   s.taskPri(tok.SourceID),
-		Retry: &s.queueRetry, RunSlot: s.pump,
+		Retry: &s.queueRetry, RunSlot: s.pumpTask,
 	})
 }
 
@@ -153,10 +153,13 @@ func (s *System) pump(slot int) error {
 	}
 	for _, tok := range batch {
 		sp := s.tracer.Dequeued(tok.Seq)
+		w := s.getWork()
+		w.tok, w.part, w.slot, w.sp = tok, predindex.AllParts, slot, sp
 		if s.ordered {
-			s.hop(tok, sp)
+			s.hop(w)
 		} else {
-			s.stage(tok, predindex.AllParts, slot, sp)
+			s.stage(w)
+			s.putWork(w)
 		}
 		sp.Finish()
 	}
@@ -173,38 +176,33 @@ func (s *System) pump(slot int) error {
 // execution even with work stealing. A token whose submission fails
 // has left the queue without reaching stage, and is quarantined here
 // to keep the fire-or-dead-letter invariant.
-func (s *System) hop(tok datasource.Token, sp *trace.Span) {
-	err := s.submitSpanned(taskq.Task{
+func (s *System) hop(w *work) {
+	tok := w.tok
+	err := s.submit(w, taskq.Task{
 		Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID), Serial: true,
 		Pri: s.taskPri(tok.SourceID),
-	}, sp, func(slot int) error {
-		s.stage(tok, predindex.AllParts, slot, sp)
-		return nil
 	})
 	if err != nil {
 		s.quarantine(catalog.DeadToken, 0, tok, err, 1)
 	}
 }
 
-// submitSpanned submits t to run fn on behalf of a token whose span is
-// sp. A traced token's task holds its own span reference until it is
-// done (it may outlive the caller's), and times its run-queue wait —
-// the scheduler half of the queue-wait decomposition (StageDequeue
-// covered the token-queue half).
-func (s *System) submitSpanned(t taskq.Task, sp *trace.Span, fn func(slot int) error) error {
-	t.RunSlot = fn
-	if sp != nil {
-		sp.Retain()
-		submitAt := time.Now()
-		t.RunSlot = func(slot int) error {
-			sp.Observe(trace.StageTaskWait, time.Since(submitAt))
-			return fn(slot)
-		}
-		t.OnDone = func(error) { sp.Finish() }
+// submit hands w to the pool as task t: a driver calls w.run, and the
+// task's end — or a refused submission, here — releases w. A traced
+// token's task holds its own span reference until then (it may outlive
+// the caller's), and times its run-queue wait — the scheduler half of
+// the queue-wait decomposition (StageDequeue covered the token-queue
+// half). The task's two functions are w's own, bound when w was made,
+// so submitting allocates nothing.
+func (s *System) submit(w *work, t taskq.Task) error {
+	t.RunSlot, t.OnDone = w.runFn, w.doneFn
+	if w.sp != nil {
+		w.sp.Retain()
+		w.submitAt = time.Now()
 	}
 	err := s.pool.Submit(t)
 	if err != nil {
-		sp.Finish()
+		w.done(err)
 	}
 	return err
 }
@@ -216,10 +214,10 @@ func (s *System) submitSpanned(t taskq.Task, sp *trace.Span, fn func(slot int) e
 // table — the invariant is fire-or-dead-letter, never silently dropped.
 // Retries re-run the whole step; alpha-memory maintenance is not
 // idempotent under partial failure, so delivery is at-least-once.
-func (s *System) stage(tok datasource.Token, part, slot int, sp *trace.Span) {
-	attempts, err := s.queueRetry.Do(func() error { return s.route(tok, part, slot, sp) })
+func (s *System) stage(w *work) {
+	attempts, err := s.queueRetry.Do(w.routeFn)
 	if err != nil {
-		s.quarantine(catalog.DeadToken, 0, tok, err, attempts)
+		s.quarantine(catalog.DeadToken, 0, w.tok, err, attempts)
 	}
 }
 
@@ -238,33 +236,29 @@ func (s *System) stage(tok datasource.Token, part, slot int, sp *trace.Span) {
 // partition (task type 3), and each of those routes its own part,
 // firing only. A source with no network or aggregate ref then costs the
 // whole-token step no probe at all.
-func (s *System) route(tok datasource.Token, part, slot int, sp *trace.Span) error {
-	whole := part == predindex.AllParts
+func (w *work) route() error {
+	w = w.own()
+	s, tok, sp := w.s, w.tok, w.sp
+	whole := w.part == predindex.AllParts
 	s.mu.RLock()
 	stateful := whole && s.sources[tok.SourceID].stateful > 0
 	s.mu.RUnlock()
 	fires := !whole || !s.fanOut
-	var ms []predindex.Match
+	w.probe.Reset()
 	nOld := 0
 	if stateful || fires {
-		buf := matchBufs.Get().(*[]predindex.Match)
-		ms = (*buf)[:0]
-		defer func() {
-			*buf = ms[:0]
-			matchBufs.Put(buf)
-		}()
 		var begin time.Time
 		if sp != nil {
 			begin = time.Now()
 		}
-		ctx := predindex.MatchCtx{Part: part, Slot: slot}
+		ctx := predindex.MatchCtx{Part: w.part, Slot: w.slot}
 		var err error
 		if stateful && tok.Op == datasource.OpUpdate && tok.Old != nil {
-			ms, err = s.probe(ms, image(tok, true), ctx, false)
-			nOld = len(ms)
+			err = s.pidx.Match(&w.probe, image(tok, true), ctx)
+			nOld = len(w.probe.Matches)
 		}
 		if err == nil {
-			ms, err = s.probe(ms, tok, ctx, fires)
+			err = s.pidx.Match(&w.probe, tok, ctx)
 		}
 		if sp != nil {
 			sp.Observe(trace.StageMatch, time.Since(begin))
@@ -273,6 +267,7 @@ func (s *System) route(tok datasource.Token, part, slot int, sp *trace.Span) err
 			return err
 		}
 	}
+	ms := w.probe.Matches
 	if whole {
 		var begin time.Time
 		if sp != nil {
@@ -286,41 +281,35 @@ func (s *System) route(tok datasource.Token, part, slot int, sp *trace.Span) err
 			if tok.Op == datasource.OpDelete {
 				gone, come = come, nil
 			}
-			s.maintain(gone, tok, true, sp)
-			s.maintain(come, tok, false, sp)
-			s.applyAggregates(gone, come, tok, sp)
+			w.maintain(gone, true)
+			w.maintain(come, false)
+			w.applyAggregates(gone, come)
 		}
 		if sp != nil {
 			sp.Observe(trace.StagePropagate, time.Since(begin))
 		}
 		if s.fanOut {
-			return s.fanOutParts(tok, sp)
+			return w.fanOutParts()
 		}
 	}
-	for _, m := range ms[nOld:] {
+	for i := nOld; i < len(ms); i++ {
 		// Gator and aggregate triggers fired during their upkeep.
-		if m.Gator || m.Aggregate || !m.FireMask.Matches(tok) || !s.cat.IsFireable(m.TriggerID) {
+		if m := &ms[i]; m.Gator || m.Aggregate || !m.FireMask.Matches(tok) || !s.cat.IsFireable(m.TriggerID) {
 			continue
 		}
 		s.cTokensMatch.Inc()
-		// A transient Pin/Enumerate fault is retried per firing; an
+		// A transient pin or enumerate fault is retried per firing; an
 		// exhausted or permanent one quarantines only this trigger's
 		// firing — the remaining matches still run.
-		attempts, err := s.actionRetry.Do(func() error {
-			return s.fireTrigger(m, tok, sp)
-		})
-		s.prof.ActionRetries(m.TriggerID, attempts)
+		w.cur = i
+		attempts, err := s.actionRetry.Do(w.fireFn)
+		s.prof.ActionRetries(ms[i].TriggerID, attempts)
 		if err != nil {
-			s.quarantine(catalog.DeadAction, m.TriggerID, tok, err, attempts)
+			s.quarantine(catalog.DeadAction, ms[i].TriggerID, tok, err, attempts)
 		}
 	}
 	return nil
 }
-
-// matchBufs recycles route's match buffers. A join or aggregate source
-// shows a token dozens of 96-byte matches; grown afresh per token the
-// buffer was a fifth of the bytes such a token allocated.
-var matchBufs = sync.Pool{New: func() any { return new([]predindex.Match) }}
 
 // image is one tuple image of a token as a token of its own: the old
 // image as a delete, the new image as an insert.
@@ -331,32 +320,17 @@ func image(tok datasource.Token, old bool) datasource.Token {
 	return datasource.Token{SourceID: tok.SourceID, Op: datasource.OpInsert, New: tok.New}
 }
 
-// probe is the pipeline's one index probe: it appends img's matches to
-// ms — every match when all is set, else only those a network or an
-// aggregate must hear of. The callback runs under the signature entry's
-// read lock, so it buffers and does nothing else.
-func (s *System) probe(ms []predindex.Match, img datasource.Token, ctx predindex.MatchCtx, all bool) ([]predindex.Match, error) {
-	err := s.pidx.Match(img, ctx, func(m predindex.Match) bool {
-		if all || m.MultiVar || m.Aggregate {
-			ms = append(ms, m)
-		}
-		return true
-	})
-	return ms, err
-}
-
 // fanOutParts submits one token-conditions task per partition. A
 // failed submission fails the whole token: partitions already
 // submitted still fire, and stage dead-letters the token so the rest
 // are not lost.
-func (s *System) fanOutParts(tok datasource.Token, sp *trace.Span) error {
-	pri := s.taskPri(tok.SourceID)
+func (w *work) fanOutParts() error {
+	s := w.s
+	pri := s.taskPri(w.tok.SourceID)
 	for p := 0; p < s.partitions; p++ {
-		if err := s.submitSpanned(taskq.Task{Kind: taskq.TokenConditions, Pri: pri}, sp,
-			func(slot int) error {
-				s.stage(tok, p, slot, sp)
-				return nil
-			}); err != nil {
+		pw := s.getWork()
+		pw.tok, pw.part, pw.sp = w.tok, p, w.sp
+		if err := s.submit(pw, taskq.Task{Kind: taskq.TokenConditions, Pri: pri}); err != nil {
 			return fmt.Errorf("partition %d of %d: %w", p, s.partitions, err)
 		}
 	}
@@ -369,12 +343,14 @@ func (s *System) fanOutParts(tok datasource.Token, sp *trace.Span) error {
 // triggers only maintain here (route fires them afterwards); Gator
 // triggers maintain AND fire here, because their incremental protocol
 // creates and retracts root combinations at maintenance time.
-func (s *System) maintain(ms []predindex.Match, tok datasource.Token, removal bool, sp *trace.Span) {
-	for _, m := range ms {
+func (w *work) maintain(ms []predindex.Match, removal bool) {
+	s, tok := w.s, w.tok
+	for i := range ms {
+		m := &ms[i]
 		if !m.MultiVar {
 			continue
 		}
-		lt, unpin, err := s.cat.Pin(m.TriggerID)
+		lt, err := s.cat.PinTrigger(m.TriggerID)
 		if err != nil {
 			s.noteErrorAt("match", m.TriggerID, err)
 			continue
@@ -384,16 +360,16 @@ func (s *System) maintain(ms []predindex.Match, tok datasource.Token, removal bo
 			// Retraction fires only for genuine delete tokens whose fire
 			// mask accepts deletes.
 			var pnode discrim.PNode
-			var ferr error
+			w.lt, w.ferr = lt, nil
 			if (!removal || tok.Op == datasource.OpDelete) && m.FireMask.Matches(tok) && s.cat.IsFireable(m.TriggerID) {
-				pnode = s.comboRunner(*lt, tok, sp, &ferr)
+				pnode = w.comboFn
 				s.cTokensMatch.Inc()
 			}
 			if err := lt.Gator.NotifyToken(int(m.NextNode), image(tok, removal), pnode); err != nil {
 				s.noteErrorAt("gator", m.TriggerID, err)
 			}
-			if ferr != nil {
-				s.noteErrorAt("action", m.TriggerID, ferr)
+			if w.ferr != nil {
+				s.noteErrorAt("action", m.TriggerID, w.ferr)
 			}
 		case lt.Network == nil: // loaded without a network: nothing to keep
 		case removal:
@@ -401,7 +377,7 @@ func (s *System) maintain(ms []predindex.Match, tok datasource.Token, removal bo
 		default:
 			lt.Network.AddTuple(int(m.NextNode), tok.New)
 		}
-		unpin()
+		s.cat.Unpin(m.TriggerID)
 	}
 }
 
@@ -410,37 +386,45 @@ func (s *System) maintain(ms []predindex.Match, tok datasource.Token, removal bo
 // update pairs its two appearances, because the group the old image
 // leaves and the group the new one joins must be judged together. The
 // lists hold dozens of matches, so pairing is a scan.
-func (s *System) applyAggregates(gone, come []predindex.Match, tok datasource.Token, sp *trace.Span) {
-	in := func(ms []predindex.Match, id uint64) bool {
-		return slices.ContainsFunc(ms, func(m predindex.Match) bool { return m.Aggregate && m.TriggerID == id })
-	}
-	for _, m := range come {
-		if m.Aggregate {
-			s.applyAggregate(m.TriggerID, tok, in(gone, m.TriggerID), true, sp)
+func (w *work) applyAggregates(gone, come []predindex.Match) {
+	for i := range come {
+		if m := &come[i]; m.Aggregate {
+			w.applyAggregate(m.TriggerID, hasAggregate(gone, m.TriggerID), true)
 		}
 	}
-	for _, m := range gone {
-		if m.Aggregate && !in(come, m.TriggerID) {
-			s.applyAggregate(m.TriggerID, tok, true, false, sp)
+	for i := range gone {
+		if m := &gone[i]; m.Aggregate && !hasAggregate(come, m.TriggerID) {
+			w.applyAggregate(m.TriggerID, true, false)
 		}
 	}
+}
+
+// hasAggregate reports whether ms holds trigger id's aggregate ref.
+func hasAggregate(ms []predindex.Match, id uint64) bool {
+	for i := range ms {
+		if ms[i].Aggregate && ms[i].TriggerID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // applyAggregate updates one trigger's incremental aggregates with the
 // token images that passed its selection; having-condition transitions
 // fire the action with aggregate values substituted in.
-func (s *System) applyAggregate(id uint64, tok datasource.Token, oldMatch, newMatch bool, sp *trace.Span) {
+func (w *work) applyAggregate(id uint64, oldMatch, newMatch bool) {
+	s, tok := w.s, w.tok
 	if !s.cat.IsFireable(id) {
 		// Like the paper's isEnabled semantics, disabled triggers are
 		// inert: they do not maintain state either.
 		return
 	}
-	lt, unpin, err := s.cat.Pin(id)
+	lt, err := s.cat.PinTrigger(id)
 	if err != nil {
 		s.noteErrorAt("aggregate", id, err)
 		return
 	}
-	defer unpin()
+	defer s.cat.Unpin(id)
 	if lt.Agg == nil {
 		return
 	}
@@ -465,108 +449,70 @@ func (s *System) applyAggregate(id uint64, tok datasource.Token, oldMatch, newMa
 			s.noteErrorAt("aggregate", id, err)
 			continue
 		}
-		ltCopy := *lt
-		ltCopy.Action = action
-		olds := []types.Tuple{tok.Old}
-		if err := s.runCombo(ltCopy, tok, []types.Tuple{f.Representative}, olds, sp); err != nil {
+		w.one[0] = f.Representative
+		if err := w.runCombo(lt, action, w.one[:], 0); err != nil {
 			s.noteErrorAt("action", id, err)
 		}
 	}
 }
 
-// comboRunner builds the P-node callback that executes a trigger's
-// action for each satisfying combination. The first failure stops the
-// enumeration and is left in *ferr.
-func (s *System) comboRunner(lt catalog.LoadedTrigger, tok datasource.Token, sp *trace.Span, ferr *error) discrim.PNode {
-	return func(c discrim.Combo) bool {
-		olds := make([]types.Tuple, len(c.Tuples))
-		if c.SeedVar >= 0 && c.SeedVar < len(olds) {
-			olds[c.SeedVar] = tok.Old
-		}
-		*ferr = s.runCombo(lt, tok, c.Tuples, olds, sp)
-		return *ferr == nil
-	}
+// onCombo is the P-node callback (w.comboFn): it runs the pinned
+// trigger's action for one satisfying combination. The first failure
+// stops the enumeration and is left in w.ferr.
+func (w *work) onCombo(c discrim.Combo) bool {
+	w.ferr = w.runCombo(w.lt, w.lt.Action, c.Tuples, c.SeedVar)
+	return w.ferr == nil
 }
 
-// fireTrigger pins the trigger (§5.4's trigger-cache pin), runs join and
-// temporal condition testing through the A-TREAT network when present,
-// and executes the action for every satisfying combination.
-func (s *System) fireTrigger(m predindex.Match, tok datasource.Token, sp *trace.Span) error {
-	lt, unpin, err := s.cat.Pin(m.TriggerID)
+// fire pins the trigger of the match route is at (§5.4's trigger-cache
+// pin), runs join and temporal condition testing through the A-TREAT
+// network when present, and executes the action for every satisfying
+// combination.
+func (w *work) fire() error {
+	w = w.own()
+	s, m := w.s, &w.probe.Matches[w.cur]
+	lt, err := s.cat.PinTrigger(m.TriggerID)
 	if err != nil {
 		return err
 	}
-	defer unpin()
+	defer s.cat.Unpin(m.TriggerID)
 
 	if lt.Network == nil {
 		// Single-variable trigger: the selection match is the whole
 		// condition; fire directly with the effective tuple.
-		olds := []types.Tuple{tok.Old}
-		return s.runCombo(*lt, tok, []types.Tuple{tok.Effective()}, olds, sp)
+		w.one[0] = w.tok.Effective()
+		return w.runCombo(lt, lt.Action, w.one[:], 0)
 	}
-	var ferr error
-	if err := lt.Network.Enumerate(int(m.NextNode), tok, s.comboRunner(*lt, tok, sp, &ferr)); err != nil {
+	w.lt, w.ferr = lt, nil
+	if err := lt.Network.Enumerate(int(m.NextNode), w.tok, w.comboFn); err != nil {
 		return err
 	}
-	return ferr
+	return w.ferr
 }
 
 // runCombo executes a trigger's action for one satisfying combination,
-// inline or as a rule-action task per Options.ActionTasks.
-func (s *System) runCombo(lt catalog.LoadedTrigger, tok datasource.Token, tuples, olds []types.Tuple, sp *trace.Span) error {
+// inline or as a rule-action task per Options.ActionTasks. The firing
+// gets a work of its own, holding its own copy of the combination: as a
+// task it outlives this token's step and everything in w.
+func (w *work) runCombo(lt *catalog.LoadedTrigger, action parser.Action, tuples []types.Tuple, seed int) error {
+	s := w.s
 	if s.FireHook != nil {
-		s.FireHook(lt.Info.ID, tuples)
+		s.FireHook(lt.Info.ID, slices.Clone(tuples))
 	}
-	binding := exec.Binding{VarIndex: lt.VarIndex, Tuples: tuples, Olds: olds}
-	schemas := lt.Schemas
-	schemaOf := func(vi int) *types.Schema {
-		if vi < 0 || vi >= len(schemas) {
-			return nil
-		}
-		return schemas[vi]
+	aw := s.getWork()
+	aw.tok, aw.slot, aw.sp, aw.firing = w.tok, w.slot, w.sp, true
+	aw.id, aw.action, aw.schemas = lt.Info.ID, action, lt.Schemas
+	aw.tuples = append(aw.tuples[:0], tuples...)
+	aw.olds = append(aw.olds[:0], make([]types.Tuple, len(tuples))...)
+	if seed >= 0 && seed < len(aw.olds) {
+		aw.olds[seed] = w.tok.Old
 	}
-	action := lt.Action
-	id := lt.Info.ID
-	// Traced firings run through a per-firing Executor copy whose
-	// Observe hook stamps event delivery, so the deliver stage lands on
-	// this token's span without changing Execute's signature.
-	exe := s.exe
-	if sp != nil {
-		e := *s.exe
-		e.Observe = func(phase string, d time.Duration) {
-			if phase == "deliver" {
-				sp.Observe(trace.StageDeliver, d)
-			}
-		}
-		exe = &e
-	}
-	run := func(int) error {
-		s.cActionsRun.Inc()
-		// Timed unconditionally: the elapsed wall time feeds both the
-		// sampled trace span and the always-on per-trigger attribution.
-		begin := time.Now()
-		// The action runs under the action retry policy: transient
-		// faults back off and retry, panics and semantic errors fail
-		// fast, and either way an undeliverable firing is quarantined in
-		// the dead-letter table so the remaining combinations (and
-		// triggers) keep firing.
-		attempts, err := s.actionRetry.Do(func() error {
-			return exe.Execute(id, action, binding, schemaOf)
-		})
-		elapsed := time.Since(begin)
-		if sp != nil {
-			sp.Observe(trace.StageAction, elapsed)
-		}
-		s.prof.ObserveAction(id, elapsed)
-		s.prof.ActionRetries(id, attempts)
-		if err != nil {
-			s.quarantine(catalog.DeadAction, id, tok, err, attempts)
-		}
-		return nil
-	}
+	aw.env.Binding = exec.Binding{VarIndex: lt.VarIndex, Tuples: aw.tuples, Olds: aw.olds}
 	if s.pool == nil || !s.opts.ActionTasks {
 		// Task type 4: the token's actions run inside its own task.
-		return run(taskq.NoSlot)
+		aw.runAction()
+		s.putWork(aw)
+		return nil
 	}
 	// Rule action concurrency (task type 2 of §6). The action inherits
 	// the *trigger's* declared class, not the source's — a batch trigger
@@ -575,16 +521,49 @@ func (s *System) runCombo(lt catalog.LoadedTrigger, tok datasource.Token, tuples
 	if lt.Info.Class == admission.Batch {
 		pri = taskq.Low
 	}
-	return s.submitSpanned(taskq.Task{Kind: taskq.RunAction, Pri: pri}, sp, run)
+	return s.submit(aw, taskq.Task{Kind: taskq.RunAction, Pri: pri})
+}
+
+// runAction executes the firing w was filled with by runCombo.
+func (w *work) runAction() {
+	s := w.s
+	s.cActionsRun.Inc()
+	// Traced firings run through the work's own Executor copy, whose
+	// Observe hook stamps event delivery, so the deliver stage lands on
+	// this token's span without changing Run's signature.
+	w.exe = s.exe
+	if w.sp != nil {
+		w.tracedExe = *s.exe
+		w.tracedExe.Observe = w.observeFn
+		w.exe = &w.tracedExe
+	}
+	// Timed unconditionally: the elapsed wall time feeds both the
+	// sampled trace span and the always-on per-trigger attribution.
+	begin := time.Now()
+	// The action runs under the action retry policy: transient
+	// faults back off and retry, panics and semantic errors fail
+	// fast, and either way an undeliverable firing is quarantined in
+	// the dead-letter table so the remaining combinations (and
+	// triggers) keep firing.
+	attempts, err := s.actionRetry.Do(w.execFn)
+	elapsed := time.Since(begin)
+	if w.sp != nil {
+		w.sp.Observe(trace.StageAction, elapsed)
+	}
+	s.prof.ObserveAction(w.id, elapsed)
+	s.prof.ActionRetries(w.id, attempts)
+	if err != nil {
+		s.quarantine(catalog.DeadAction, w.id, w.tok, err, attempts)
+	}
 }
 
 // CapturingRunner wraps the database so execSQL actions generate update
 // descriptors for tables registered as data sources — the cascade path.
 type capturingRunner struct{ sys *System }
 
-// ExecStmt implements exec.StmtRunner.
-func (r capturingRunner) ExecStmt(st parser.Statement) (*minisql.Result, error) {
-	res, err := r.sys.db.ExecStmt(st)
+// ExecParams implements exec.StmtRunner.
+func (r capturingRunner) ExecParams(st parser.Statement, params expr.Env) (*minisql.Result, error) {
+	res, err := r.sys.db.ExecParams(st, params)
 	if err != nil {
 		return nil, err
 	}

@@ -223,7 +223,7 @@ func (s *System) command(text string) (string, error) {
 		// DML through the command interface is captured: updates to
 		// tables registered as data sources generate update descriptors
 		// (the paper's automatically-created capture triggers).
-		res, err := capturingRunner{s}.ExecStmt(st)
+		res, err := capturingRunner{s}.ExecParams(st, nil)
 		if err != nil {
 			return "", err
 		}

@@ -344,12 +344,19 @@ type System struct {
 	ops           *opsServer
 	ring          errorRing
 
-	// Resolved retry policies (defaults applied).
+	// Resolved retry policies (defaults applied). abandons says one of
+	// them has an attempt timeout, so an attempt may still be running
+	// when its retry starts: work.own keeps such attempts apart.
 	actionRetry retry.Policy
 	queueRetry  retry.Policy
+	abandons    bool
 	// dlRetry guards dead-letter writes: more attempts than the work
 	// that failed, because losing the quarantine record loses the token.
 	dlRetry retry.Policy
+	// pump as the two function values applyTraced needs, made once: the
+	// process-token task's body, and the inline call of Synchronous mode.
+	pumpTask   func(slot int) error
+	pumpInline func() error
 
 	// FireHook, when set, observes every firing (tests and benchmarks).
 	FireHook func(triggerID uint64, combo []types.Tuple)
@@ -547,6 +554,9 @@ func Open(opts Options) (*System, error) {
 	}
 	sys.queueRetry = sys.queueRetry.WithDefaults()
 	sys.queueRetry.Observe = sys.retryObserver("queue")
+	sys.abandons = sys.actionRetry.AttemptTimeout > 0 || sys.queueRetry.AttemptTimeout > 0
+	sys.pumpTask = sys.pump
+	sys.pumpInline = func() error { return sys.pump(taskq.NoSlot) }
 	sys.dlRetry = sys.queueRetry
 	if sys.dlRetry.MaxAttempts < 10 {
 		sys.dlRetry.MaxAttempts = 10
@@ -666,6 +676,11 @@ func (s *System) retryObserver(policy string) func(int, error) {
 	return func(n int, err error) {
 		if n > 1 {
 			attempts.Add(int64(n - 1))
+		}
+		if err == nil {
+			// Nearly every call: leave before the errors.As target below,
+			// which escapes and would cost each success a heap object.
+			return
 		}
 		var ex *retry.Exhausted
 		if errors.As(err, &ex) {

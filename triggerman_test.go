@@ -444,7 +444,7 @@ func TestPersistenceAndRecovery(t *testing.T) {
 	}
 	_ = src
 	// Use command-level insert through the capturing runner.
-	if _, err := (capturingRunner{sys}).ExecStmt(mustParseDML(t, "insert into emp values ('post', 900)")); err != nil {
+	if _, err := (capturingRunner{sys}).ExecParams(mustParseDML(t, "insert into emp values ('post', 900)"), nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
