@@ -1,11 +1,15 @@
 package triggerman
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"triggerman/internal/agg"
 	"triggerman/internal/cache"
+	"triggerman/internal/catalog"
 	"triggerman/internal/datasource"
+	"triggerman/internal/discrim"
 	"triggerman/internal/event"
 	"triggerman/internal/exec"
 	"triggerman/internal/expr"
@@ -216,7 +220,117 @@ func allocRows(t *testing.T) []allocRow {
 			}
 		},
 	})
-	return rows
+	return append(rows, networkRows(t)...)
+}
+
+var hashSink uint64
+
+// networkRows hold the discrimination networks and the aggregates to
+// their counts, on §2's salesperson ⋈ represents ⋈ house join with 64
+// salespeople and 64 represents rows over 8 neighbourhoods, so a house
+// joins 8 (s, r) pairs, and on a group-by/having trigger over houses.
+func networkRows(t *testing.T) []allocRow {
+	const ddl = `create trigger j from salesperson s, house h, represents r
+		when s.spno=r.spno and r.nno=h.nno do raise event J(h.hno)`
+	const aggDDL = `create trigger g from house group by nno having count(hno) > 1000 do raise event G(nno)`
+	open := func(gator bool) *System {
+		sys, err := Open(Options{Synchronous: true, Queue: MemoryQueue, GatorNetworks: gator,
+			TraceSampleEvery: -1, DisableSLO: true, DisableProfiling: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		sp, house, rep := realEstate(t, sys)
+		for _, ddl := range []string{ddl, aggDDL} {
+			if err := sys.CreateTrigger(ddl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := int64(0); i < 64; i++ {
+			if err := errors.Join(sp.Insert(spRow(i, "s")), rep.Insert(repRow(i, i%8))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := house.Insert(houseRow(1, "h", 3)); err != nil { // group nno = 3
+			t.Fatal(err)
+		}
+		return sys
+	}
+	pin := func(sys *System, name string) *catalog.LoadedTrigger {
+		id := triggerIDByName(t, sys, name)
+		lt, err := sys.cat.PinTrigger(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.cat.Unpin(id) })
+		return lt
+	}
+	sys := open(false)
+	atreat, aggs := pin(sys, "j"), pin(sys, "g")
+	gator := pin(open(true), "j")
+	var combos int
+	count := func(discrim.Combo) bool { combos++; return true }
+	want := func(n int) {
+		if combos != n {
+			t.Fatalf("%d combinations, want %d", combos, n)
+		}
+		combos = 0
+	}
+	house := houseRow(2, "h", 3)
+	ins := datasource.Token{Op: datasource.OpInsert, New: house}
+	del := datasource.Token{Op: datasource.OpDelete, Old: house}
+	lonely := datasource.Token{Op: datasource.OpInsert, New: houseRow(3, "h", 99)}
+	rep := repRow(99, 3)
+	hashed := types.Tuple{types.NewString("ann"), types.NewInt(10), types.NewFloat(-0.5)}
+	return []allocRow{{
+		stage: "Value.Hash+Tuple.Hash", ceiling: 0,
+		call: func() { hashSink = hashed.Hash() ^ hashed[0].Hash() },
+	}, {
+		stage: "A-TREAT AddTuple+RemoveTuple", ceiling: 3,
+		what: "the memory's copy of the row, and the identity and index buckets it opens",
+		call: func() {
+			atreat.Network.AddTuple(2, rep)
+			atreat.Network.RemoveTuple(2, rep)
+		},
+	}, {
+		stage: "A-TREAT Enumerate, no join partner", ceiling: 2,
+		what: "the enumeration's state and its combination buffer",
+		call: func() {
+			atreat.Network.Enumerate(1, lonely, count)
+			want(0)
+		},
+	}, {
+		stage: "A-TREAT Enumerate, 8 combinations", ceiling: 2,
+		what: "the same two: every combination reuses the buffer",
+		call: func() {
+			atreat.Network.Enumerate(1, ins, count)
+			want(8)
+		},
+	}, {
+		stage: "A-TREAT NotifyToken insert+delete", ceiling: 6,
+		what: "the row's copy and the identity bucket it opens, and each token's enumeration",
+		call: func() {
+			atreat.Network.NotifyToken(1, ins, count)
+			atreat.Network.NotifyToken(1, del, count)
+			want(16)
+		},
+	}, {
+		stage: "Gator NotifyToken insert+delete, catalog's order", ceiling: 39,
+		what: "the row's copy and bucket, the insert's scratch, 8 root partials (each a struct and two slices) " +
+			"and the serial bucket they open, the new-partial list's growth, and the retraction's environment",
+		call: func() {
+			gator.Gator.NotifyToken(1, ins, count)
+			gator.Gator.NotifyToken(1, del, count)
+			want(16)
+		},
+	}, {
+		stage: "State.Apply insert+delete, existing group", ceiling: 6,
+		what: "per judged group, the aggregate tuple and the having evaluator's environment (two)",
+		call: func() {
+			aggs.Agg.State.Apply(agg.OpInsert, nil, house, false, true, aggs.Agg.Having)
+			aggs.Agg.State.Apply(agg.OpDelete, house, nil, true, false, aggs.Agg.Having)
+		},
+	}}
 }
 
 // matchCall builds an index of 40 single-constant predicates in one

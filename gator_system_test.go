@@ -154,6 +154,44 @@ func TestGatorSystemAgreesWithTreat(t *testing.T) {
 	}
 }
 
+// The catalog builds Gator networks in connected order. The §2 trigger
+// names salesperson and house first, but no predicate links them: built
+// in from-clause order, its first beta memory would cache their cross
+// product. Joined s ⋈ r first, the betas hold |s ⋈ r| plus the root's
+// |s ⋈ r ⋈ h| combinations.
+func TestGatorNetworkJoinsConnectedVariablesFirst(t *testing.T) {
+	sys := gatorSystem(t)
+	sp, house, rep := realEstate(t, sys)
+	err := sys.CreateTrigger(`create trigger j
+		from salesperson s, house h, represents r
+		when s.spno=r.spno and r.nno=h.nno
+		do raise event Hit(h.hno)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 24
+	var sr, srh int
+	for i := int64(0); i < n; i++ {
+		for _, err := range []error{
+			sp.Insert(spRow(i, "s")), rep.Insert(repRow(i, i%4)), house.Insert(houseRow(i, "addr", i%4)),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		sr++         // represents row i names salesperson i
+		srh += n / 4 // and neighborhood i%4, which n/4 houses are in
+	}
+	shape, ok := sys.cat.NetworkShape(triggerIDByName(t, sys, "j"))
+	if !ok || shape.Kind != "gator" {
+		t.Fatalf("shape = %+v", shape)
+	}
+	if shape.BetaTuples != sr+srh {
+		t.Fatalf("beta memories hold %d combinations, want |s⋈r| + |s⋈r⋈h| = %d + %d (the s × h cross product is %d)",
+			shape.BetaTuples, sr, srh, n*n)
+	}
+}
+
 func TestGatorDeleteEventFires(t *testing.T) {
 	// A trigger with an explicit delete event fires retractions under
 	// Gator networks.

@@ -19,6 +19,7 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -93,13 +94,11 @@ type groupState struct {
 	key   types.Tuple
 	count int64
 	sums  []float64 // per numeric spec (sum/avg)
-	// multisets per min/max spec: value-key -> (value, count)
-	sets []map[string]msEntry
+	// multisets per min/max spec: value hash -> (value, count) entries
+	sets []map[uint64][]msEntry
 	// armed reports whether the having condition was false after the
-	// last token (so the next true fires).
+	// last evaluation (so the next true fires); a new group is armed.
 	armed bool
-	// everEvaluated guards the initial arming.
-	everEvaluated bool
 }
 
 type msEntry struct {
@@ -113,7 +112,10 @@ type State struct {
 	// GroupCols are the grouping column positions in the source schema.
 	GroupCols []int
 	Specs     []Spec
-	groups    map[string]*groupState
+	// groups buckets the live groups by the hash of their key, which
+	// lookups compute from a row's group columns in place.
+	groups map[uint64][]*groupState
+	live   int
 }
 
 // NewState builds an empty aggregate state.
@@ -121,7 +123,7 @@ func NewState(groupCols []int, specs []Spec) *State {
 	return &State{
 		GroupCols: groupCols,
 		Specs:     specs,
-		groups:    make(map[string]*groupState),
+		groups:    make(map[uint64][]*groupState),
 	}
 }
 
@@ -129,34 +131,45 @@ func NewState(groupCols []int, specs []Spec) *State {
 func (st *State) Groups() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.groups)
+	return st.live
 }
 
-func (st *State) keyOf(tu types.Tuple) (string, types.Tuple) {
-	key := make(types.Tuple, len(st.GroupCols))
-	for i, c := range st.GroupCols {
-		key[i] = tu.Get(c)
-	}
-	return string(types.EncodeKey(nil, key)), key
-}
-
+// group returns tu's group, creating it (and only then building its
+// key) when tu is the first row of it.
 func (st *State) group(tu types.Tuple) *groupState {
-	ks, key := st.keyOf(tu)
-	g, ok := st.groups[ks]
-	if !ok {
-		g = &groupState{
-			key:  key,
-			sums: make([]float64, len(st.Specs)),
-			sets: make([]map[string]msEntry, len(st.Specs)),
+	h := tu.HashCols(st.GroupCols)
+	for _, g := range st.groups[h] {
+		if g.holds(tu, st.GroupCols) {
+			return g
 		}
-		for i, s := range st.Specs {
-			if s.Func == Min || s.Func == Max {
-				g.sets[i] = make(map[string]msEntry)
-			}
-		}
-		st.groups[ks] = g
 	}
+	g := &groupState{
+		key:   make(types.Tuple, len(st.GroupCols)),
+		sums:  make([]float64, len(st.Specs)),
+		sets:  make([]map[uint64][]msEntry, len(st.Specs)),
+		armed: true,
+	}
+	for i, c := range st.GroupCols {
+		g.key[i] = tu.Get(c)
+	}
+	for i, s := range st.Specs {
+		if s.Func == Min || s.Func == Max {
+			g.sets[i] = make(map[uint64][]msEntry)
+		}
+	}
+	st.groups[h] = append(st.groups[h], g)
+	st.live++
 	return g
+}
+
+// holds reports whether tu's group columns equal g's key.
+func (g *groupState) holds(tu types.Tuple, cols []int) bool {
+	for i, c := range cols {
+		if !types.Equal(g.key[i], tu.Get(c)) {
+			return false
+		}
+	}
+	return true
 }
 
 func (st *State) apply(g *groupState, tu types.Tuple, sign int64) {
@@ -172,14 +185,19 @@ func (st *State) apply(g *groupState, tu types.Tuple, sign int64) {
 			if v.IsNull() {
 				continue
 			}
-			vk := string(types.EncodeKey(nil, types.Tuple{v}))
-			e := g.sets[i][vk]
-			e.val = v
-			e.n += int(sign)
-			if e.n <= 0 {
-				delete(g.sets[i], vk)
+			h := v.Hash()
+			b := g.sets[i][h]
+			e := slices.IndexFunc(b, func(e msEntry) bool { return types.Equal(e.val, v) })
+			if e < 0 {
+				b, e = append(b, msEntry{val: v}), len(b)
+			}
+			if b[e].n += int(sign); b[e].n <= 0 {
+				b = slices.Delete(b, e, e+1)
+			}
+			if len(b) > 0 {
+				g.sets[i][h] = b
 			} else {
-				g.sets[i][vk] = e
+				delete(g.sets[i], h)
 			}
 		}
 	}
@@ -203,22 +221,14 @@ func (st *State) values(g *groupState) types.Tuple {
 		case Min, Max:
 			var best types.Value
 			first := true
-			for _, e := range g.sets[i] {
-				if first {
-					best = e.val
-					first = false
-					continue
-				}
-				c := types.Compare(e.val, best)
-				if (s.Func == Min && c < 0) || (s.Func == Max && c > 0) {
-					best = e.val
+			for _, b := range g.sets[i] {
+				for _, e := range b {
+					if c := types.Compare(e.val, best); first || (s.Func == Min && c < 0) || (s.Func == Max && c > 0) {
+						best, first = e.val, false
+					}
 				}
 			}
-			if first {
-				out[i] = types.Null()
-			} else {
-				out[i] = best
-			}
+			out[i] = best // NULL when the multiset is empty
 		}
 	}
 	return out
@@ -249,52 +259,57 @@ const (
 // (rows outside the selection do not contribute). having evaluates the
 // rewritten having condition for a group; it is called with the group
 // key and aggregates and returns the condition's truth. Fires are the
-// false→true transitions produced by this token.
+// false→true transitions produced by this token: an update touches at
+// most two groups, and the one the row leaves is judged, and fires,
+// before the one it joins.
 func (st *State) Apply(op Op, old, new types.Tuple, oldMatch, newMatch bool,
 	having func(groupKey, aggs types.Tuple) (bool, error)) ([]Fire, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	touched := map[string]*groupState{}
-	reps := map[string]types.Tuple{}
+	var left, joined *groupState
 	if op != OpInsert && oldMatch && old != nil {
-		g := st.group(old)
-		st.apply(g, old, -1)
-		ks, _ := st.keyOf(old)
-		touched[ks] = g
-		reps[ks] = old
+		left = st.group(old)
+		st.apply(left, old, -1)
 	}
 	if op != OpDelete && newMatch && new != nil {
-		g := st.group(new)
-		st.apply(g, new, +1)
-		ks, _ := st.keyOf(new)
-		touched[ks] = g
-		reps[ks] = new
+		joined = st.group(new)
+		st.apply(joined, new, +1)
 	}
 	var fires []Fire
-	for ks, g := range touched {
-		aggs := st.values(g)
-		ok, err := having(g.key, aggs)
-		if err != nil {
-			return fires, err
+	var err error
+	if left != nil && left != joined {
+		fires, err = st.judge(left, old, having, fires)
+	}
+	if joined != nil && err == nil {
+		fires, err = st.judge(joined, new, having, fires)
+	}
+	return fires, err
+}
+
+// judge evaluates having on g after a token, with rep the token image
+// that touched it, appending a Fire on a false→true transition; a group
+// left without rows is dropped.
+func (st *State) judge(g *groupState, rep types.Tuple, having func(groupKey, aggs types.Tuple) (bool, error), fires []Fire) ([]Fire, error) {
+	aggs := st.values(g)
+	ok, err := having(g.key, aggs)
+	if err != nil {
+		return fires, err
+	}
+	switch {
+	case ok && g.armed:
+		g.armed = false
+		fires = append(fires, Fire{GroupKey: g.key.Clone(), Aggregates: aggs, Representative: rep})
+	case !ok:
+		g.armed = true
+	}
+	if g.count <= 0 {
+		h := g.key.Hash() // as a row's HashCols(GroupCols) found it
+		if b := slices.DeleteFunc(st.groups[h], func(x *groupState) bool { return x == g }); len(b) > 0 {
+			st.groups[h] = b
+		} else {
+			delete(st.groups, h)
 		}
-		if !g.everEvaluated {
-			g.armed = true
-			g.everEvaluated = true
-		}
-		switch {
-		case ok && g.armed:
-			g.armed = false
-			fires = append(fires, Fire{
-				GroupKey:       g.key.Clone(),
-				Aggregates:     aggs,
-				Representative: reps[ks],
-			})
-		case !ok:
-			g.armed = true
-		}
-		if g.count <= 0 {
-			delete(st.groups, ks)
-		}
+		st.live--
 	}
 	return fires, nil
 }

@@ -197,6 +197,27 @@ func TestUpdateMovesBetweenGroups(t *testing.T) {
 	}
 }
 
+// An update that moves a row between two groups judges, and fires, the
+// group it leaves before the group it joins — every time, so the
+// token's actions run in one order.
+func TestUpdateFiresLeftGroupFirst(t *testing.T) {
+	rewritten, specs, _ := RewriteHaving(bindSales(t, "count(amount) < 2"), []int{0})
+	ev := HavingEvaluator(rewritten)
+	for i := 0; i < 200; i++ {
+		st := NewState([]int{0}, specs)
+		applyInsert(t, st, ev, saleRow("a", 1, "r"))
+		applyInsert(t, st, ev, saleRow("a", 2, "r")) // a: count 2, false
+		// a drops to 1 and b is born at 1: both cross to true.
+		fires, err := st.Apply(OpUpdate, saleRow("a", 2, "r"), saleRow("b", 2, "r"), true, true, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fires) != 2 || fires[0].GroupKey[0].Str() != "a" || fires[1].GroupKey[0].Str() != "b" {
+			t.Fatalf("run %d: fires %+v, want group a then group b", i, fires)
+		}
+	}
+}
+
 func TestSelectionFiltering(t *testing.T) {
 	// Tokens whose image fails the selection do not contribute.
 	n := bindSales(t, "count(amount) > 1")
@@ -227,15 +248,22 @@ func TestRandomizedAgainstRecompute(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		var fires []Fire
 		var err error
-		if len(rows) > 0 && rng.Intn(3) == 0 {
-			i := rng.Intn(len(rows))
-			old := rows[i]
-			rows = append(rows[:i], rows[i+1:]...)
-			fires, err = st.Apply(OpDelete, old, nil, true, false, ev)
-		} else {
-			tu := saleRow(regions[rng.Intn(3)], int64(rng.Intn(60)), "r")
+		var old, tu types.Tuple
+		switch op := rng.Intn(4); {
+		case len(rows) == 0 || op < 2:
+			tu = saleRow(regions[rng.Intn(3)], int64(rng.Intn(60)), "r")
 			rows = append(rows, tu)
 			fires, err = st.Apply(OpInsert, nil, tu, false, true, ev)
+		case op < 3:
+			i := rng.Intn(len(rows))
+			old = rows[i]
+			rows = append(rows[:i], rows[i+1:]...)
+			fires, err = st.Apply(OpDelete, old, nil, true, false, ev)
+		default: // an update, often moving the row to another group
+			i := rng.Intn(len(rows))
+			old, tu = rows[i], saleRow(regions[rng.Intn(3)], int64(rng.Intn(60)), "r")
+			rows[i] = tu
+			fires, err = st.Apply(OpUpdate, old, tu, true, true, ev)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -251,9 +279,21 @@ func TestRandomizedAgainstRecompute(t *testing.T) {
 		for g := range sums {
 			condNow[g] = sums[g] > 100 && counts[g] > 2
 		}
+		if st.Groups() != len(counts) {
+			t.Fatalf("step %d: %d groups, recompute has %d", step, st.Groups(), len(counts))
+		}
 		firedGroups := map[string]bool{}
 		for _, f := range fires {
 			firedGroups[f.GroupKey[0].Str()] = true
+			// The representative is the image in the fired group, the new
+			// one when both are.
+			if rep := tu; rep == nil || rep[0].Str() != f.GroupKey[0].Str() {
+				if !f.Representative.Equal(old) {
+					t.Fatalf("step %d: group %s fired with %v, want the old image %v", step, f.GroupKey, f.Representative, old)
+				}
+			} else if !f.Representative.Equal(rep) {
+				t.Fatalf("step %d: group %s fired with %v, want the new image %v", step, f.GroupKey, f.Representative, rep)
+			}
 		}
 		for g, now := range condNow {
 			if now && !condWas[g] && !firedGroups[g] {

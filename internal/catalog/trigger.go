@@ -273,7 +273,7 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 			}
 		}
 		if c.useGator {
-			g, err := discrim.NewLeftDeepGator(info.ID, vars, edges, catchAll)
+			g, err := discrim.NewGreedyGator(info.ID, vars, edges, catchAll, nil)
 			if err != nil {
 				return err
 			}

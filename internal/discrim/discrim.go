@@ -1,8 +1,12 @@
-// Package discrim implements the A-TREAT discrimination network the
-// paper uses for trigger condition testing (§3, [Hans96]): per-trigger
-// networks with one alpha memory per tuple variable, TREAT-style join
-// enumeration seeded by the arriving token, and a P-node that fires for
-// every tuple combination satisfying the whole condition.
+// Package discrim implements the discrimination networks the paper uses
+// for trigger condition testing (§3): A-TREAT after Ariel ([Hans96]),
+// and the Gator networks ([Hans97b]) it plans as the upgrade. Both are
+// built from the same parts: one alpha memory per tuple variable — a bag
+// of tuple instances with a hash index on each equijoin column it is
+// probed by, keyed by types.Value.Hash and checked with types.Equal —
+// and join plans worked out once, when the network is built, so a token
+// looks its plan up instead of walking the condition graph. A P-node
+// fires for every tuple combination satisfying the whole condition.
 //
 // Selection predicates live *above* the network in the predicate index;
 // a token reaches a network node only after its selection predicate
@@ -14,6 +18,7 @@ package discrim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"triggerman/internal/datasource"
@@ -34,113 +39,146 @@ const (
 	Virtual
 )
 
-// alphaMemory is a bag of tuples with O(1) add/remove by value and
-// optional per-column hash indexes on equijoin columns — the memory
-// indexing Ariel used ([Hans96]) so join enumeration probes matching
-// tuples instead of scanning the whole memory.
-type alphaMemory struct {
+// instance is one tuple held by a memory. Duplicate rows are distinct
+// instances, told apart by serial: Gator's partial joins name instances
+// by serial; A-TREAT ignores it.
+type instance struct {
+	serial uint64
+	tuple  types.Tuple
+}
+
+func (in instance) at(col int) types.Value { return in.tuple.Get(col) }
+func (in instance) is(o instance) bool     { return in.serial == o.serial }
+
+// hashIndex is the hash index a memory keeps on each key a plan probes
+// it by — the memory indexing Ariel used ([Hans96]), so a join probes
+// the entries that can match instead of scanning the memory: per key,
+// the entries bucketed by the hash of their value there. Alpha memories
+// key by column, beta memories by (variable, column).
+type hashIndex[K comparable, E keyed[K, E]] struct {
+	keys    []K
+	buckets []map[uint64][]E // buckets[i] by keys[i]'s value
+}
+
+// keyed is a hashIndex entry: its value at a key, and its identity.
+type keyed[K, E any] interface {
+	at(K) types.Value
+	is(E) bool
+}
+
+// slot returns k's index slot, adding the index if it is new. Plans
+// call it while the network is built, before the memory holds an entry.
+func (x *hashIndex[K, E]) slot(k K) int {
+	if i := slices.Index(x.keys, k); i >= 0 {
+		return i
+	}
+	x.keys = append(x.keys, k)
+	x.buckets = append(x.buckets, make(map[uint64][]E))
+	return len(x.keys) - 1
+}
+
+func (x *hashIndex[K, E]) add(e E) {
+	for i, k := range x.keys {
+		h := e.at(k).Hash()
+		x.buckets[i][h] = append(x.buckets[i][h], e)
+	}
+}
+
+func (x *hashIndex[K, E]) remove(e E) {
+	for i, k := range x.keys {
+		b, h := x.buckets[i], e.at(k).Hash()
+		cut(b, h, slices.IndexFunc(b[h], func(o E) bool { return o.is(e) }))
+	}
+}
+
+// lookup calls fn, until it returns false, on every entry whose value at
+// p's key equals the bound value p names.
+func (x *hashIndex[K, E]) lookup(p probe, combo []types.Tuple, fn func(E) bool) {
+	v, k := combo[p.by.v].Get(p.by.col), x.keys[p.slot]
+	for _, e := range x.buckets[p.slot][v.Hash()] {
+		if types.Equal(e.at(k), v) && !fn(e) {
+			return
+		}
+	}
+}
+
+// memory is a stored alpha memory: tuple instances bucketed by tuple
+// hash (their identity, for removal) and indexed on the columns its
+// plans probe.
+type memory struct {
 	mu   sync.RWMutex
-	bag  map[string][]types.Tuple // encoded-key -> instances
+	next uint64 // the last serial handed out
 	size int
-	// idx[col] maps an encoded column value to the tuples holding it.
-	idx map[int]map[string][]types.Tuple
+	ids  map[uint64][]instance
+	idx  hashIndex[int, instance]
 }
 
-func newAlphaMemory(indexCols []int) *alphaMemory {
-	m := &alphaMemory{bag: make(map[string][]types.Tuple)}
-	if len(indexCols) > 0 {
-		m.idx = make(map[int]map[string][]types.Tuple, len(indexCols))
-		for _, c := range indexCols {
-			m.idx[c] = make(map[string][]types.Tuple)
-		}
-	}
-	return m
-}
+func newMemory() *memory { return &memory{ids: make(map[uint64][]instance)} }
 
-func tupleKey(tu types.Tuple) string {
-	return string(types.EncodeTuple(nil, tu))
-}
-
-func valueKey(v types.Value) string {
-	return string(types.EncodeKey(nil, types.Tuple{v}))
-}
-
-func (m *alphaMemory) add(tu types.Tuple) {
+// add stores a copy of tu and returns the new instance's serial.
+func (m *memory) add(tu types.Tuple) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cp := tu.Clone()
-	k := tupleKey(cp)
-	m.bag[k] = append(m.bag[k], cp)
+	m.next++
+	in := instance{m.next, tu.Clone()}
+	h := in.tuple.Hash()
+	m.ids[h] = append(m.ids[h], in)
+	m.idx.add(in)
 	m.size++
-	for col, byVal := range m.idx {
-		vk := valueKey(cp.Get(col))
-		byVal[vk] = append(byVal[vk], cp)
-	}
+	return in.serial
 }
 
-func (m *alphaMemory) remove(tu types.Tuple) bool {
+// remove deletes one instance equal to tu and returns its serial, or 0
+// when the memory holds none (a phantom delete).
+func (m *memory) remove(tu types.Tuple) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := tupleKey(tu)
-	insts := m.bag[k]
-	if len(insts) == 0 {
-		return false
+	h := tu.Hash()
+	i := slices.IndexFunc(m.ids[h], func(in instance) bool { return in.tuple.Equal(tu) })
+	if i < 0 {
+		return 0
 	}
-	if len(insts) == 1 {
-		delete(m.bag, k)
-	} else {
-		m.bag[k] = insts[:len(insts)-1]
-	}
+	in := m.ids[h][i]
+	cut(m.ids, h, i)
+	m.idx.remove(in)
 	m.size--
-	for col, byVal := range m.idx {
-		vk := valueKey(tu.Get(col))
-		lst := byVal[vk]
-		for i, cand := range lst {
-			if cand.Equal(tu) {
-				byVal[vk] = append(lst[:i], lst[i+1:]...)
-				break
-			}
-		}
-		if len(byVal[vk]) == 0 {
-			delete(byVal, vk)
-		}
-	}
-	return true
+	return in.serial
 }
 
-func (m *alphaMemory) forEach(fn func(types.Tuple) bool) {
+// scan calls fn, until it returns false, on every instance p selects:
+// those whose indexed column holds the bound value p names, or all of
+// them for a scan.
+func (m *memory) scan(p probe, combo []types.Tuple, fn func(instance) bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for _, insts := range m.bag {
-		for _, tu := range insts {
-			if !fn(tu) {
+	if p.slot >= 0 {
+		m.idx.lookup(p, combo, fn)
+		return
+	}
+	for _, b := range m.ids {
+		for _, in := range b {
+			if !fn(in) {
 				return
 			}
 		}
 	}
 }
 
-// probe iterates only the tuples whose column col equals v; ok reports
-// whether an index on col exists.
-func (m *alphaMemory) probe(col int, v types.Value, fn func(types.Tuple) bool) (ok bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	byVal, has := m.idx[col]
-	if !has {
-		return false
-	}
-	for _, tu := range byVal[valueKey(v)] {
-		if !fn(tu) {
-			break
-		}
-	}
-	return true
-}
-
-func (m *alphaMemory) len() int {
+func (m *memory) len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.size
+}
+
+// cut deletes bucket h's i'th entry, and the bucket once it is empty.
+// slices.Delete clears the vacated slot, so a removed entry is not kept
+// reachable by the bucket's backing array.
+func cut[E any](b map[uint64][]E, h uint64, i int) {
+	if rest := slices.Delete(b[h], i, i+1); len(rest) > 0 {
+		b[h] = rest
+	} else {
+		delete(b, h)
+	}
 }
 
 // Var describes one tuple variable of a trigger.
@@ -157,7 +195,8 @@ type Var struct {
 	// virtual memories to filter the base table. May be empty.
 	Selection expr.CNF
 
-	mem *alphaMemory
+	mem       *memory   // a stored memory
+	selection expr.Node // a virtual memory's Selection, built once
 }
 
 // JoinEdge is one edge of the trigger condition graph (§5.1 step 3): a
@@ -168,9 +207,18 @@ type JoinEdge struct {
 	Pred expr.CNF
 }
 
+func (e JoinEdge) other(v int) int {
+	if e.A == v {
+		return e.B
+	}
+	return e.A
+}
+
 // Combo is a satisfying tuple combination delivered to the P-node.
 type Combo struct {
 	// Tuples holds one tuple per variable, in network variable order.
+	// The slice is the network's and is valid only during the P-node
+	// call; a P-node that keeps the combination copies it.
 	Tuples []types.Tuple
 	// Token is the update descriptor that seeded the match.
 	Token datasource.Token
@@ -182,74 +230,39 @@ type Combo struct {
 // current enumeration (used for early cancellation).
 type PNode func(Combo) bool
 
+// varCol names column col of variable v's tuple.
+type varCol struct{ v, col int }
+
 // equiKey is a single-column equijoin extracted from an edge predicate:
-// tuple[a].colA = tuple[b].colB.
-type equiKey struct {
-	a, colA, b, colB int
+// the two columns must be equal.
+type equiKey [2]varCol
+
+// probe is a memory lookup planned when the network is built: the
+// entries whose index slot holds the value in column by.col of the
+// already bound variable by.v. Slot -1 scans the memory.
+type probe struct {
+	slot int
+	by   varCol
 }
 
-// Network is the per-trigger A-TREAT network.
-type Network struct {
-	TriggerID uint64
-	Vars      []Var
-	Edges     []JoinEdge
-	// CatchAll holds conjuncts referring to zero or three-plus variables
-	// (the paper's catch-all list); it is evaluated on complete
-	// combinations.
-	CatchAll expr.CNF
-	// IndexMemories disables equijoin memory indexing when false is
-	// passed to NewNetworkOpts (ablation); NewNetwork enables it.
-	IndexMemories bool
+var scanAll = probe{slot: -1}
 
-	// adj[i] lists edge indexes incident to variable i.
-	adj [][]int
-	// equis[ei] holds the equijoins recognized in edge ei.
-	equis [][]equiKey
-}
-
-// NewNetwork builds a network with indexed alpha memories.
-func NewNetwork(triggerID uint64, vars []Var, edges []JoinEdge, catchAll expr.CNF) (*Network, error) {
-	return NewNetworkOpts(triggerID, vars, edges, catchAll, true)
-}
-
-// NewNetworkOpts is NewNetwork with explicit control over memory
-// indexing (benchmark ablations pass false).
-func NewNetworkOpts(triggerID uint64, vars []Var, edges []JoinEdge, catchAll expr.CNF, indexMemories bool) (*Network, error) {
-	n := &Network{TriggerID: triggerID, Vars: vars, Edges: edges, CatchAll: catchAll, IndexMemories: indexMemories}
-	n.adj = make([][]int, len(vars))
-	n.equis = make([][]equiKey, len(edges))
-	indexCols := make([]map[int]bool, len(vars))
-	for i := range indexCols {
-		indexCols[i] = make(map[int]bool)
-	}
+// joinGraph validates the edges and works out what both network kinds
+// plan with: the edges at each variable and each edge's equijoins (none
+// when index is false, which leaves every memory unindexed).
+func joinGraph(nvars int, edges []JoinEdge, index bool) (adj [][]int, equis [][]equiKey, err error) {
+	adj, equis = make([][]int, nvars), make([][]equiKey, len(edges))
 	for ei, e := range edges {
-		if e.A < 0 || e.A >= len(vars) || e.B < 0 || e.B >= len(vars) || e.A == e.B {
-			return nil, fmt.Errorf("discrim: bad join edge %d (%d-%d) for %d variables", ei, e.A, e.B, len(vars))
+		if e.A < 0 || e.A >= nvars || e.B < 0 || e.B >= nvars || e.A == e.B {
+			return nil, nil, fmt.Errorf("discrim: bad join edge %d (%d-%d) for %d variables", ei, e.A, e.B, nvars)
 		}
-		n.adj[e.A] = append(n.adj[e.A], ei)
-		n.adj[e.B] = append(n.adj[e.B], ei)
-		if indexMemories {
-			n.equis[ei] = equijoinsOf(e)
-			for _, q := range n.equis[ei] {
-				indexCols[q.a][q.colA] = true
-				indexCols[q.b][q.colB] = true
-			}
+		adj[e.A] = append(adj[e.A], ei)
+		adj[e.B] = append(adj[e.B], ei)
+		if index {
+			equis[ei] = equijoinsOf(e)
 		}
 	}
-	for i := range n.Vars {
-		v := &n.Vars[i]
-		if v.Kind == Virtual && v.Table == nil {
-			return nil, fmt.Errorf("discrim: virtual memory for %q needs a backing table", v.Name)
-		}
-		if v.Kind == Stored {
-			var cols []int
-			for c := range indexCols[i] {
-				cols = append(cols, c)
-			}
-			v.mem = newAlphaMemory(cols)
-		}
-	}
-	return n, nil
+	return adj, equis, nil
 }
 
 // equijoinsOf extracts single-atom equality clauses of the form
@@ -269,9 +282,130 @@ func equijoinsOf(e JoinEdge) []equiKey {
 		if !lok || !rok || l.Old || r.Old || l.VarIdx < 0 || r.VarIdx < 0 || l.VarIdx == r.VarIdx {
 			continue
 		}
-		out = append(out, equiKey{a: l.VarIdx, colA: l.ColIdx, b: r.VarIdx, colB: r.ColIdx})
+		out = append(out, equiKey{{l.VarIdx, l.ColIdx}, {r.VarIdx, r.ColIdx}})
 	}
 	return out
+}
+
+// equiProbe finds, among the given edges, the first equijoin with one
+// side in span and the other on a bound variable: binding span can then
+// probe column at with the value in column by.
+func equiProbe(edges []int, equis [][]equiKey, span []int, bound []bool) (at, by varCol, ok bool) {
+	for _, ei := range edges {
+		for _, q := range equis[ei] {
+			for s := 0; s < 2; s++ {
+				if spanContains(span, q[s].v) && bound[q[1-s].v] {
+					return q[s], q[1-s], true
+				}
+			}
+		}
+	}
+	return varCol{}, varCol{}, false
+}
+
+// Network is the per-trigger A-TREAT network.
+type Network struct {
+	TriggerID uint64
+	Vars      []Var
+	Edges     []JoinEdge
+	// CatchAll holds conjuncts referring to zero or three-plus variables
+	// (the paper's catch-all list); it is evaluated on complete
+	// combinations.
+	CatchAll expr.CNF
+	// IndexMemories disables equijoin memory indexing when false is
+	// passed to NewNetworkOpts (ablation); NewNetwork enables it.
+	IndexMemories bool
+
+	// plans[v] binds the other variables for a token seeded at v. Plans
+	// are read-only once built: enumerations share them.
+	plans    [][]step
+	catchAll []expr.Node
+}
+
+// step binds one variable of a join plan: its memory (or, for a virtual
+// memory, its table) is probed or scanned, and each candidate is tested
+// against the predicates of the edges to the variables bound before it.
+type step struct {
+	v     int
+	probe probe
+	tests []expr.Node
+}
+
+// conjunction is the predicate list a combination must pass for c: none
+// for an empty CNF.
+func conjunction(c expr.CNF) []expr.Node {
+	if len(c.Clauses) == 0 {
+		return nil
+	}
+	return []expr.Node{c.Node()}
+}
+
+// NewNetwork builds a network with indexed alpha memories.
+func NewNetwork(triggerID uint64, vars []Var, edges []JoinEdge, catchAll expr.CNF) (*Network, error) {
+	return NewNetworkOpts(triggerID, vars, edges, catchAll, true)
+}
+
+// NewNetworkOpts is NewNetwork with explicit control over memory
+// indexing (benchmark ablations pass false).
+func NewNetworkOpts(triggerID uint64, vars []Var, edges []JoinEdge, catchAll expr.CNF, indexMemories bool) (*Network, error) {
+	n := &Network{TriggerID: triggerID, Vars: vars, Edges: edges, CatchAll: catchAll, IndexMemories: indexMemories,
+		catchAll: conjunction(catchAll)}
+	adj, equis, err := joinGraph(len(vars), edges, indexMemories)
+	if err != nil {
+		return nil, err
+	}
+	for i := range n.Vars {
+		switch v := &n.Vars[i]; {
+		case v.Kind == Stored:
+			v.mem = newMemory()
+		case v.Table == nil:
+			return nil, fmt.Errorf("discrim: virtual memory for %q needs a backing table", v.Name)
+		default:
+			v.selection = v.Selection.Node()
+		}
+	}
+	n.plans = make([][]step, len(vars))
+	for seed := range vars {
+		bound := make([]bool, len(vars))
+		bound[seed] = true
+		for _, vi := range bindOrder(seed, adj, edges) {
+			st := step{v: vi, probe: scanAll}
+			if at, by, ok := equiProbe(adj[vi], equis, []int{vi}, bound); ok && n.Vars[vi].Kind == Stored {
+				st.probe = probe{n.Vars[vi].mem.idx.slot(at.col), by}
+			}
+			for _, ei := range adj[vi] {
+				if bound[edges[ei].other(vi)] {
+					st.tests = append(st.tests, edges[ei].Pred.Node())
+				}
+			}
+			bound[vi] = true
+			n.plans[seed] = append(n.plans[seed], st)
+		}
+	}
+	return n, nil
+}
+
+// bindOrder lists the variables other than seed in BFS order from it, so
+// join predicates become testable as early as possible. Variables no
+// edge reaches (cartesian products) come last.
+func bindOrder(seed int, adj [][]int, edges []JoinEdge) []int {
+	seen := make([]bool, len(adj))
+	seen[seed] = true
+	order := []int{seed}
+	for i := 0; i < len(order); i++ {
+		for _, ei := range adj[order[i]] {
+			if o := edges[ei].other(order[i]); !seen[o] {
+				seen[o] = true
+				order = append(order, o)
+			}
+		}
+	}
+	for v, s := range seen {
+		if !s {
+			order = append(order, v)
+		}
+	}
+	return order[1:]
 }
 
 // MemorySize reports the stored-memory cardinality of variable i
@@ -313,14 +447,16 @@ func (n *Network) Enumerate(v int, tok datasource.Token, pnode PNode) error {
 	if v < 0 || v >= len(n.Vars) {
 		return fmt.Errorf("discrim: variable %d out of range", v)
 	}
-	if pnode == nil {
-		return nil
-	}
 	seed := tok.Effective()
-	if seed == nil {
+	if pnode == nil || seed == nil {
 		return nil
 	}
-	return n.enumerate(v, seed, tok, pnode)
+	buf := make([]types.Tuple, 2*len(n.Vars))
+	j := &join{n: n, tok: tok, seedVar: v, pnode: pnode,
+		env: expr.MultiEnv{Tuples: buf[:len(n.Vars):len(n.Vars)], Olds: buf[len(n.Vars):]}}
+	j.env.Tuples[v], j.env.Olds[v] = seed, tok.Old
+	j.extend(n.plans[v])
+	return j.err
 }
 
 // NotifyToken drives the network with a token routed to variable v: the
@@ -334,13 +470,12 @@ func (n *Network) NotifyToken(v int, tok datasource.Token, pnode PNode) error {
 	if v < 0 || v >= len(n.Vars) {
 		return fmt.Errorf("discrim: variable %d out of range", v)
 	}
-	va := &n.Vars[v]
-	if va.Kind == Stored {
+	if va := &n.Vars[v]; va.Kind == Stored {
 		switch tok.Op {
 		case datasource.OpInsert:
 			va.mem.add(tok.New)
 		case datasource.OpDelete:
-			if !va.mem.remove(tok.Old) {
+			if va.mem.remove(tok.Old) == 0 {
 				// Phantom delete: the tuple was never in the memory, so
 				// no combination ceased to exist.
 				return nil
@@ -350,196 +485,83 @@ func (n *Network) NotifyToken(v int, tok datasource.Token, pnode PNode) error {
 			va.mem.add(tok.New)
 		}
 	}
-	if pnode == nil {
-		return nil
-	}
-	seed := tok.Effective()
-	if seed == nil {
-		return nil
-	}
-	return n.enumerate(v, seed, tok, pnode)
+	return n.Enumerate(v, tok, pnode)
 }
 
-// enumerate performs the TREAT join: fix the seed variable's tuple and
-// extend through the remaining variables, testing each join edge as soon
-// as both of its endpoints are bound.
-func (n *Network) enumerate(seedVar int, seed types.Tuple, tok datasource.Token, pnode PNode) error {
-	combo := make([]types.Tuple, len(n.Vars))
-	combo[seedVar] = seed
-	bound := make([]bool, len(n.Vars))
-	bound[seedVar] = true
-	olds := make([]types.Tuple, len(n.Vars))
-	olds[seedVar] = tok.Old
-
-	order := n.bindOrder(seedVar)
-	var rec func(step int) (bool, error)
-	rec = func(step int) (bool, error) {
-		if step == len(order) {
-			// All bound: evaluate the catch-all conjuncts, then fire.
-			if len(n.CatchAll.Clauses) > 0 {
-				ok, err := evalOnCombo(n.CatchAll, combo, olds)
-				if err != nil {
-					return false, err
-				}
-				if !ok {
-					return true, nil
-				}
-			}
-			out := make([]types.Tuple, len(combo))
-			copy(out, combo)
-			return pnode(Combo{Tuples: out, Token: tok, SeedVar: seedVar}), nil
-		}
-		vi := order[step]
-		cont := true
-		var ierr error
-		try := func(tu types.Tuple) bool {
-			combo[vi] = tu
-			bound[vi] = true
-			ok, err := n.edgesSatisfied(vi, combo, bound, olds)
-			if err != nil {
-				ierr = err
-				return false
-			}
-			if ok {
-				c, err := rec(step + 1)
-				if err != nil {
-					ierr = err
-					return false
-				}
-				if !c {
-					cont = false
-					return false
-				}
-			}
-			bound[vi] = false
-			combo[vi] = nil
-			return true
-		}
-		v := &n.Vars[vi]
-		if v.Kind == Stored {
-			if col, val, ok := n.probeKey(vi, combo, bound); ok {
-				if !v.mem.probe(col, val, try) {
-					v.mem.forEach(try)
-				}
-			} else {
-				v.mem.forEach(try)
-			}
-		} else {
-			err := v.Table.Scan(func(_ storage.RID, tu types.Tuple) bool {
-				// Virtual memory: re-apply the selection predicate.
-				if len(v.Selection.Clauses) > 0 {
-					ok, err := expr.EvalPredicate(v.Selection.Node(), expr.SingleEnv{New: tu})
-					if err != nil {
-						ierr = err
-						return false
-					}
-					if ok != expr.True {
-						return true
-					}
-				}
-				return try(tu)
-			})
-			if err != nil && ierr == nil {
-				ierr = err
-			}
-		}
-		if ierr != nil {
-			return false, ierr
-		}
-		bound[vi] = false
-		combo[vi] = nil
-		return cont, nil
-	}
-	_, err := rec(0)
-	return err
+// join is one TREAT enumeration: the seed variable's tuple is fixed and
+// the plan extends it through the remaining variables. Its combination
+// and old images belong to the call, so enumerations run concurrently.
+type join struct {
+	n       *Network
+	tok     datasource.Token
+	seedVar int
+	pnode   PNode
+	env     expr.MultiEnv // the combination; only the seed has an old image
+	err     error
+	stop    bool // the P-node asked to stop, or err is set
 }
 
-// probeKey finds an equijoin between vi and some already-bound variable
-// and returns vi's join column plus the bound side's value, enabling an
-// indexed memory probe instead of a full scan.
-func (n *Network) probeKey(vi int, combo []types.Tuple, bound []bool) (int, types.Value, bool) {
-	if !n.IndexMemories {
-		return 0, types.Value{}, false
+// extend binds the variables of steps in every way the memories allow
+// and hands each complete combination passing the catch-all conjuncts
+// to the P-node.
+func (j *join) extend(steps []step) {
+	combo := j.env.Tuples
+	if len(steps) == 0 {
+		if j.hold(j.n.catchAll) && !j.pnode(Combo{Tuples: combo, Token: j.tok, SeedVar: j.seedVar}) {
+			j.stop = true
+		}
+		return
 	}
-	for _, ei := range n.adj[vi] {
-		for _, q := range n.equis[ei] {
-			switch {
-			case q.a == vi && bound[q.b]:
-				return q.colA, combo[q.b].Get(q.colB), true
-			case q.b == vi && bound[q.a]:
-				return q.colB, combo[q.a].Get(q.colA), true
+	st := &steps[0]
+	bind := func(in instance) bool {
+		if combo[st.v] = in.tuple; j.hold(st.tests) {
+			j.extend(steps[1:])
+		}
+		return !j.stop
+	}
+	if v := &j.n.Vars[st.v]; v.Kind == Stored {
+		v.mem.scan(st.probe, combo, bind)
+	} else if err := v.Table.Scan(func(_ storage.RID, tu types.Tuple) bool {
+		// Virtual memory: re-apply the selection predicate.
+		if v.selection != nil {
+			if ok, err := expr.EvalPredicate(v.selection, expr.SingleEnv{New: tu}); ok != expr.True || err != nil {
+				return j.fail(err)
 			}
 		}
+		return bind(instance{tuple: tu})
+	}); err != nil {
+		j.fail(err)
 	}
-	return 0, types.Value{}, false
+	combo[st.v] = nil
 }
 
-// bindOrder returns the non-seed variables in BFS order from the seed so
-// join predicates become testable as early as possible.
-func (n *Network) bindOrder(seed int) []int {
-	visited := make([]bool, len(n.Vars))
-	visited[seed] = true
-	queue := []int{seed}
-	var order []int
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, ei := range n.adj[cur] {
-			e := n.Edges[ei]
-			other := e.A
-			if other == cur {
-				other = e.B
-			}
-			if !visited[other] {
-				visited[other] = true
-				order = append(order, other)
-				queue = append(queue, other)
-			}
-		}
-	}
-	// Disconnected variables (cartesian products) come last.
-	for i := range n.Vars {
-		if !visited[i] {
-			order = append(order, i)
-		}
-	}
-	return order
+// hold reports whether the combination passes preds; an error stops the
+// enumeration.
+func (j *join) hold(preds []expr.Node) bool {
+	ok, err := allHold(preds, &j.env)
+	return j.fail(err) && ok
 }
 
-// edgesSatisfied tests every edge incident to vi whose both endpoints
-// are bound.
-func (n *Network) edgesSatisfied(vi int, combo []types.Tuple, bound []bool, olds []types.Tuple) (bool, error) {
-	for _, ei := range n.adj[vi] {
-		e := n.Edges[ei]
-		other := e.A
-		if other == vi {
-			other = e.B
-		}
-		if !bound[other] {
-			continue
-		}
-		ok, err := evalOnCombo(e.Pred, combo, olds)
-		if err != nil {
+// fail records the enumeration's first error, which stops it, and
+// reports whether the enumeration goes on.
+func (j *join) fail(err error) bool {
+	if err != nil && j.err == nil {
+		j.err, j.stop = err, true
+	}
+	return !j.stop
+}
+
+// allHold evaluates bound multi-variable predicates over a partial or
+// complete combination. Only the seeding variable carries an old image;
+// :OLD references to other variables read as NULL, matching SQL
+// semantics for rows that were not updated.
+func allHold(preds []expr.Node, env *expr.MultiEnv) (bool, error) {
+	for _, p := range preds {
+		if res, err := expr.EvalPredicate(p, env); res != expr.True || err != nil {
 			return false, err
-		}
-		if !ok {
-			return false, nil
 		}
 	}
 	return true, nil
-}
-
-// evalOnCombo evaluates a bound multi-variable predicate over a partial
-// or complete combination. Only the seeding variable carries an old
-// image; :OLD references to other variables read as NULL, matching SQL
-// semantics for rows that were not updated.
-func evalOnCombo(pred expr.CNF, combo []types.Tuple, olds []types.Tuple) (bool, error) {
-	env := expr.MultiEnv{Tuples: combo, Olds: olds}
-	res, err := expr.EvalPredicate(pred.Node(), env)
-	if err != nil {
-		return false, err
-	}
-	return res == expr.True, nil
 }
 
 // SeedMemory preloads variable i's stored memory (used when a trigger is

@@ -3,8 +3,12 @@ package discrim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"triggerman/internal/datasource"
 	"triggerman/internal/expr"
@@ -97,6 +101,7 @@ func collect(t *testing.T, n *Network, v int, tok datasource.Token) []Combo {
 	t.Helper()
 	var out []Combo
 	if err := n.NotifyToken(v, tok, func(c Combo) bool {
+		c.Tuples = slices.Clone(c.Tuples) // the network's, valid during the call
 		out = append(out, c)
 		return true
 	}); err != nil {
@@ -381,6 +386,105 @@ func TestDuplicateTuplesBagSemantics(t *testing.T) {
 	if n.MemorySize(1) != 1 {
 		t.Errorf("bag size after one delete = %d", n.MemorySize(1))
 	}
+}
+
+// A tuple removed from a memory becomes garbage even while the index
+// bucket it shared keeps another row: a removal that leaves it in the
+// bucket's vacated slot keeps it reachable for as long as the bucket
+// lives.
+func TestRemovedTupleIsCollected(t *testing.T) {
+	for _, kind := range []string{"atreat", "gator"} {
+		t.Run(kind, func(t *testing.T) {
+			vars := []Var{{Name: "s", SourceID: 1}, {Name: "r", SourceID: 3}}
+			edges := []JoinEdge{{A: 0, B: 1, Pred: bindTwo(t, "s.spno = r.spno", spSchema, repSchema)}}
+			var notify func(int, datasource.Token, PNode) error
+			if kind == "atreat" {
+				n, err := NewNetwork(1, vars, edges, expr.CNF{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				notify = n.NotifyToken
+			} else {
+				g, err := NewGreedyGator(1, vars, edges, expr.CNF{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				notify = g.NotifyToken
+			}
+			defer runtime.KeepAlive(notify) // the network, and rep(7, 1) in it
+			notify(1, insertTok(3, rep(7, 1)), nil)
+			notify(1, insertTok(3, rep(7, 2)), nil)
+			// The memory holds a copy of each row; reach the copy of
+			// rep(7, 2) through a combination.
+			var stored *types.Value
+			notify(0, insertTok(1, sp(7, "Iris")), func(c Combo) bool {
+				if c.Tuples[1].Get(1).Int() == 2 {
+					stored = &c.Tuples[1][0]
+				}
+				return true
+			})
+			collected := make(chan struct{})
+			runtime.SetFinalizer(stored, func(*types.Value) { close(collected) })
+			stored = nil
+			notify(1, datasource.Token{SourceID: 3, Op: datasource.OpDelete, Old: rep(7, 2)}, nil)
+			for i := 0; i < 50; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("the removed row is still reachable from the network")
+		})
+	}
+}
+
+// Drivers enumerate one network at once, beside its maintenance: they
+// share its plans and memories, and each combination is the call's own.
+func TestConcurrentEnumerations(t *testing.T) {
+	n := irisNetwork(t)
+	for i := int64(0); i < 4; i++ {
+		n.AddTuple(0, sp(i, "s"))
+		n.AddTuple(2, rep(i, 1))
+	}
+	stop := make(chan struct{})
+	var maint, readers sync.WaitGroup
+	maint.Add(1)
+	go func() { // rows that join no house in neighbourhood 1
+		defer maint.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n.AddTuple(2, rep(i%4, 9))
+			n.RemoveTuple(2, rep(i%4, 9))
+		}
+	}()
+	for d := int64(0); d < 4; d++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for k := d * 1000; k < d*1000+200; k++ {
+				got := 0
+				err := n.Enumerate(1, insertTok(2, house(k, 1)), func(c Combo) bool {
+					if c.Tuples[1].Get(0).Int() == k && types.Equal(c.Tuples[0].Get(0), c.Tuples[2].Get(0)) {
+						got++
+					}
+					return true
+				})
+				if err != nil || got != 4 {
+					t.Errorf("driver %d, house %d: %d combinations (%v), want 4", d, k, got, err)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	maint.Wait()
 }
 
 // TestIndexedMemoryAgreesWithScan drives identical random token streams

@@ -16,13 +16,15 @@
 //     retract every combination they participated in;
 //   - join-predicate placement at the lowest node covering both
 //     endpoints;
-//   - two built-in shapes (TREAT via the flat Network type, left-deep
-//     Rete via NewLeftDeepGator) plus a greedy optimizer
-//     (NewGreedyGator) that orders variables by estimated cardinality.
+//   - TREAT via the flat Network type, any explicit shape
+//     (NewGatorNetwork), and a greedy optimizer (NewGreedyGator) that
+//     grows a left-deep tree through connected variables, smallest
+//     estimated cardinality first — the catalog's builder.
 package discrim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,263 +35,97 @@ import (
 
 // partial is one partial combination held in a beta memory. Instance
 // identity is Rete-style: each inserted tuple carries a serial, and a
-// partial is identified by its serial vector, so duplicate tuple values
-// yield distinct combinations exactly as the TREAT bag semantics do.
+// partial holds the serial of every instance in it, so duplicate tuple
+// values yield distinct combinations exactly as the TREAT bag semantics
+// do.
 type partial struct {
 	tuples  []types.Tuple
 	serials []uint64 // indexed by variable; 0 outside the span
-	key     string
 }
 
-func partialKey(serials []uint64, span []int) string {
-	buf := make([]byte, 0, len(span)*9)
-	for _, v := range span {
-		buf = append(buf, byte(v))
-		s := serials[v]
-		for i := 0; i < 8; i++ {
-			buf = append(buf, byte(s>>(8*i)))
-		}
-	}
-	return string(buf)
-}
+func (p *partial) at(vc varCol) types.Value { return p.tuples[vc.v].Get(vc.col) }
+func (p *partial) is(o *partial) bool       { return p == o }
 
-// gleaf is a Gator leaf memory: tuple instances with serials, a
-// value-keyed stack for retraction, and per-column equijoin indexes.
-type gleaf struct {
-	mu       sync.RWMutex
-	bySerial map[uint64]types.Tuple
-	byValue  map[string][]uint64
-	idx      map[int]map[string][]uint64
-	next     uint64
-}
-
-func newGleaf(indexCols []int) *gleaf {
-	l := &gleaf{
-		bySerial: make(map[uint64]types.Tuple),
-		byValue:  make(map[string][]uint64),
-		idx:      make(map[int]map[string][]uint64),
-	}
-	for _, c := range indexCols {
-		l.idx[c] = make(map[string][]uint64)
-	}
-	return l
-}
-
-func (l *gleaf) add(tu types.Tuple) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.next++
-	s := l.next
-	cp := tu.Clone()
-	l.bySerial[s] = cp
-	tk := tupleKey(cp)
-	l.byValue[tk] = append(l.byValue[tk], s)
-	for col, byVal := range l.idx {
-		vk := valueKey(cp.Get(col))
-		byVal[vk] = append(byVal[vk], s)
-	}
-	return s
-}
-
-// remove pops one instance with the given tuple value, returning its
-// serial (0 when absent).
-func (l *gleaf) remove(tu types.Tuple) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	tk := tupleKey(tu)
-	stack := l.byValue[tk]
-	if len(stack) == 0 {
-		return 0
-	}
-	s := stack[len(stack)-1]
-	if len(stack) == 1 {
-		delete(l.byValue, tk)
-	} else {
-		l.byValue[tk] = stack[:len(stack)-1]
-	}
-	delete(l.bySerial, s)
-	for col, byVal := range l.idx {
-		vk := valueKey(tu.Get(col))
-		lst := byVal[vk]
-		for i, cand := range lst {
-			if cand == s {
-				byVal[vk] = append(lst[:i], lst[i+1:]...)
-				break
-			}
-		}
-		if len(byVal[vk]) == 0 {
-			delete(byVal, vk)
-		}
-	}
-	return s
-}
-
-func (l *gleaf) forEach(fn func(serial uint64, tu types.Tuple) bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for s, tu := range l.bySerial {
-		if !fn(s, tu) {
-			return
-		}
-	}
-}
-
-// probe iterates instances whose column col equals v; ok reports index
-// availability.
-func (l *gleaf) probe(col int, v types.Value, fn func(serial uint64, tu types.Tuple) bool) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	byVal, has := l.idx[col]
-	if !has {
-		return false
-	}
-	for _, s := range byVal[valueKey(v)] {
-		if tu, ok := l.bySerial[s]; ok {
-			if !fn(s, tu) {
-				break
-			}
-		}
-	}
-	return true
-}
-
-func (l *gleaf) len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.bySerial)
-}
-
-// varCol identifies an equijoin index target inside a beta memory: the
-// column col of the combination's variable v.
-type varCol struct{ v, col int }
-
-// betaMemory stores partial combinations keyed by serial vector with a
-// per-variable serial index for retraction and optional equijoin value
-// indexes (the beta analogue of Ariel's indexed alpha memories).
+// betaMemory stores a node's partial combinations, bucketed per span
+// variable by that variable's instance serial (their identity, for
+// retraction) and indexed on the (variable, column) values its plans
+// probe — the beta analogue of Ariel's indexed alpha memories.
 type betaMemory struct {
-	mu    sync.RWMutex
-	byKey map[string]*partial
-	// bySerial[v][serial] lists combination keys containing that
-	// instance at variable v.
-	bySerial map[int]map[uint64][]string
-	// idx[vc][valueKey] lists combination keys whose tuple at vc.v has
-	// the given value in column vc.col.
-	idx  map[varCol]map[string][]string
-	span []int
+	mu       sync.RWMutex
+	span     []int
+	size     int
+	bySerial []map[uint64][]*partial // indexed by variable
+	idx      hashIndex[varCol, *partial]
 }
 
 func newBetaMemory(span []int) *betaMemory {
-	bm := &betaMemory{
-		byKey:    make(map[string]*partial),
-		bySerial: make(map[int]map[uint64][]string),
-		idx:      make(map[varCol]map[string][]string),
-		span:     span,
-	}
+	bm := &betaMemory{span: span, bySerial: make([]map[uint64][]*partial, span[len(span)-1]+1)}
 	for _, v := range span {
-		bm.bySerial[v] = make(map[uint64][]string)
+		bm.bySerial[v] = make(map[uint64][]*partial)
 	}
 	return bm
 }
 
-func (bm *betaMemory) addIndex(vc varCol) {
-	if _, ok := bm.idx[vc]; !ok {
-		bm.idx[vc] = make(map[string][]string)
-	}
-}
-
+// add stores p unless the memory already holds a partial of the same
+// instances, and reports whether it did. Inserts on sibling leaves run
+// concurrently, and each can see the other's new instance: both then
+// build the same partial, which must be stored, and fired, once.
 func (bm *betaMemory) add(p *partial) bool {
 	bm.mu.Lock()
 	defer bm.mu.Unlock()
-	if _, dup := bm.byKey[p.key]; dup {
-		return false
-	}
-	bm.byKey[p.key] = p
-	for _, v := range bm.span {
-		bm.bySerial[v][p.serials[v]] = append(bm.bySerial[v][p.serials[v]], p.key)
-	}
-	for vc, byVal := range bm.idx {
-		vk := valueKey(p.tuples[vc.v].Get(vc.col))
-		byVal[vk] = append(byVal[vk], p.key)
-	}
-	return true
-}
-
-// probe iterates combinations whose (v, col) value equals val; ok
-// reports index availability.
-func (bm *betaMemory) probe(vc varCol, val types.Value, fn func(*partial) bool) bool {
-	bm.mu.RLock()
-	defer bm.mu.RUnlock()
-	byVal, has := bm.idx[vc]
-	if !has {
-		return false
-	}
-	for _, k := range byVal[valueKey(val)] {
-		if p, ok := bm.byKey[k]; ok {
-			if !fn(p) {
-				break
-			}
+	// A stored copy of p is in every span variable's serial bucket;
+	// search the smallest.
+	same := bm.bySerial[bm.span[0]][p.serials[bm.span[0]]]
+	for _, v := range bm.span[1:] {
+		if b := bm.bySerial[v][p.serials[v]]; len(b) < len(same) {
+			same = b
 		}
 	}
+	if slices.ContainsFunc(same, func(q *partial) bool { return slices.Equal(q.serials, p.serials) }) {
+		return false
+	}
+	for _, v := range bm.span {
+		s := p.serials[v]
+		bm.bySerial[v][s] = append(bm.bySerial[v][s], p)
+	}
+	bm.idx.add(p)
+	bm.size++
 	return true
 }
 
-// removeBySerial retracts every combination containing the given
-// instance at variable v, returning them.
+// removeBySerial retracts, and returns, every combination containing
+// the given instance at variable v.
 func (bm *betaMemory) removeBySerial(v int, serial uint64) []*partial {
 	bm.mu.Lock()
 	defer bm.mu.Unlock()
-	keys := bm.bySerial[v][serial]
-	if len(keys) == 0 {
-		return nil
-	}
+	gone := bm.bySerial[v][serial]
 	delete(bm.bySerial[v], serial)
-	var out []*partial
-	for _, k := range keys {
-		p, ok := bm.byKey[k]
-		if !ok {
-			continue
-		}
-		delete(bm.byKey, k)
-		out = append(out, p)
+	for _, p := range gone {
 		for _, ov := range bm.span {
-			if ov == v {
-				continue
-			}
-			os := p.serials[ov]
-			lst := bm.bySerial[ov][os]
-			for i, ck := range lst {
-				if ck == k {
-					bm.bySerial[ov][os] = append(lst[:i], lst[i+1:]...)
-					break
-				}
-			}
-			if len(bm.bySerial[ov][os]) == 0 {
-				delete(bm.bySerial[ov], os)
+			if b, s := bm.bySerial[ov], p.serials[ov]; ov != v {
+				cut(b, s, slices.Index(b[s], p))
 			}
 		}
-		for vc, byVal := range bm.idx {
-			vk := valueKey(p.tuples[vc.v].Get(vc.col))
-			lst := byVal[vk]
-			for i, ck := range lst {
-				if ck == k {
-					byVal[vk] = append(lst[:i], lst[i+1:]...)
-					break
-				}
-			}
-			if len(byVal[vk]) == 0 {
-				delete(byVal, vk)
-			}
-		}
+		bm.idx.remove(p)
 	}
-	return out
+	bm.size -= len(gone)
+	return gone
 }
 
-func (bm *betaMemory) forEach(fn func(*partial) bool) {
+// scan is memory.scan for partials: fn sees every partial whose indexed
+// value equals the bound value p names, or all of them for a scan.
+func (bm *betaMemory) scan(p probe, combo []types.Tuple, fn func(*partial) bool) {
 	bm.mu.RLock()
 	defer bm.mu.RUnlock()
-	for _, p := range bm.byKey {
-		if !fn(p) {
-			return
+	if p.slot >= 0 {
+		bm.idx.lookup(p, combo, fn)
+		return
+	}
+	for _, b := range bm.bySerial[bm.span[0]] {
+		for _, q := range b {
+			if !fn(q) {
+				return
+			}
 		}
 	}
 }
@@ -297,7 +133,7 @@ func (bm *betaMemory) forEach(fn func(*partial) bool) {
 func (bm *betaMemory) len() int {
 	bm.mu.RLock()
 	defer bm.mu.RUnlock()
-	return len(bm.byKey)
+	return bm.size
 }
 
 // gnode is one node of the Gator tree: a leaf (alpha memory of one
@@ -307,10 +143,21 @@ type gnode struct {
 	leafVar  int
 	children []*gnode
 	span     []int // sorted variable set
-	// edges assigned to this node (lowest node covering both ends).
+	// edges assigned to this node (lowest node covering both ends), and
+	// their predicates.
 	edges  []int
+	tests  []expr.Node
 	beta   *betaMemory // nil for leaves
 	parent *gnode
+	// siblings plans how a partial of this node's span joins at its
+	// parent: the parent's other children in binding order, each with
+	// its probe.
+	siblings []sibling
+}
+
+type sibling struct {
+	node  *gnode
+	probe probe
 }
 
 // GatorNetwork is a discrimination network with cached join state.
@@ -320,9 +167,9 @@ type GatorNetwork struct {
 	Edges     []JoinEdge
 	CatchAll  expr.CNF
 
-	root   *gnode
-	leaves []*gnode
-	mems   []*gleaf // one per variable
+	root     *gnode
+	leaves   []*gnode
+	catchAll []expr.Node
 }
 
 // Shape describes a Gator tree as nested variable groups: a Shape is
@@ -341,35 +188,20 @@ func NodeShape(subs ...*Shape) *Shape { return &Shape{Var: -1, Subs: subs} }
 // NewGatorNetwork builds a network with the given tree shape. The shape
 // must cover every variable exactly once.
 func NewGatorNetwork(triggerID uint64, vars []Var, edges []JoinEdge, catchAll expr.CNF, shape *Shape) (*GatorNetwork, error) {
-	g := &GatorNetwork{TriggerID: triggerID, Vars: vars, Edges: edges, CatchAll: catchAll}
-	for i := range vars {
-		v := &g.Vars[i]
-		if v.Kind == Virtual {
-			return nil, fmt.Errorf("discrim: gator networks require stored memories (variable %q)", v.Name)
-		}
+	if len(vars) < 2 {
+		return nil, fmt.Errorf("discrim: gator network needs >= 2 variables")
 	}
-	// Build leaves with equijoin indexes, as in NewNetworkOpts.
-	indexCols := make(map[int]map[int]bool, len(vars))
-	for i := range vars {
-		indexCols[i] = make(map[int]bool)
-	}
-	for _, e := range edges {
-		if e.A < 0 || e.A >= len(vars) || e.B < 0 || e.B >= len(vars) || e.A == e.B {
-			return nil, fmt.Errorf("discrim: bad join edge (%d-%d)", e.A, e.B)
-		}
-		for _, q := range equijoinsOf(e) {
-			indexCols[q.a][q.colA] = true
-			indexCols[q.b][q.colB] = true
-		}
+	g := &GatorNetwork{TriggerID: triggerID, Vars: vars, Edges: edges, CatchAll: catchAll, catchAll: conjunction(catchAll)}
+	_, equis, err := joinGraph(len(vars), edges, true)
+	if err != nil {
+		return nil, err
 	}
 	g.leaves = make([]*gnode, len(vars))
-	g.mems = make([]*gleaf, len(vars))
-	for i := range vars {
-		var cols []int
-		for c := range indexCols[i] {
-			cols = append(cols, c)
+	for i := range g.Vars {
+		if v := &g.Vars[i]; v.Kind == Virtual {
+			return nil, fmt.Errorf("discrim: gator networks require stored memories (variable %q)", v.Name)
 		}
-		g.mems[i] = newGleaf(cols)
+		g.Vars[i].mem = newMemory()
 		g.leaves[i] = &gnode{leafVar: i, span: []int{i}}
 	}
 	root, err := g.buildShape(shape)
@@ -389,30 +221,45 @@ func NewGatorNetwork(triggerID uint64, vars []Var, edges []JoinEdge, catchAll ex
 		}
 	}
 	g.root = root
-	// Assign each edge to the lowest node whose span covers both ends,
-	// and register equijoin indexes on the beta children holding each
-	// endpoint so sibling joins probe instead of scan.
+	// Assign each edge to the lowest node whose span covers both ends.
 	for ei, e := range edges {
-		n := g.lowestCovering(root, e.A, e.B)
-		if n == nil {
-			return nil, fmt.Errorf("discrim: no node covers edge %d-%d", e.A, e.B)
+		n := lowestCovering(root, e.A, e.B)
+		n.edges, n.tests = append(n.edges, ei), append(n.tests, e.Pred.Node())
+	}
+	g.plan(root, equis)
+	return g, nil
+}
+
+// plan works out, for every child of n and below, how a partial of the
+// child's span joins its siblings: their order, and for each an indexed
+// probe by an equijoin of n's edges to what is bound before it, whose
+// index it adds to the sibling's memory.
+func (g *GatorNetwork) plan(n *gnode, equis [][]equiKey) {
+	for _, from := range n.children {
+		bound := make([]bool, len(g.Vars))
+		for _, v := range from.span {
+			bound[v] = true
 		}
-		n.edges = append(n.edges, ei)
-		for _, q := range equijoinsOf(e) {
-			for _, c := range n.children {
-				if c.beta == nil {
-					continue
-				}
-				if spanContains(c.span, q.a) {
-					c.beta.addIndex(varCol{q.a, q.colA})
-				}
-				if spanContains(c.span, q.b) {
-					c.beta.addIndex(varCol{q.b, q.colB})
+		for _, sib := range n.children {
+			if sib == from {
+				continue
+			}
+			s := sibling{node: sib, probe: scanAll}
+			if at, by, ok := equiProbe(n.edges, equis, sib.span, bound); ok {
+				s.probe.by = by
+				if sib.beta == nil {
+					s.probe.slot = g.Vars[at.v].mem.idx.slot(at.col)
+				} else {
+					s.probe.slot = sib.beta.idx.slot(at)
 				}
 			}
+			for _, v := range sib.span {
+				bound[v] = true
+			}
+			from.siblings = append(from.siblings, s)
 		}
+		g.plan(from, equis)
 	}
-	return g, nil
 }
 
 func (g *GatorNetwork) buildShape(s *Shape) (*gnode, error) {
@@ -443,12 +290,12 @@ func (g *GatorNetwork) buildShape(s *Shape) (*gnode, error) {
 	return n, nil
 }
 
-func (g *GatorNetwork) lowestCovering(n *gnode, a, b int) *gnode {
+func lowestCovering(n *gnode, a, b int) *gnode {
 	if !spanContains(n.span, a) || !spanContains(n.span, b) {
 		return nil
 	}
 	for _, c := range n.children {
-		if got := g.lowestCovering(c, a, b); got != nil {
+		if got := lowestCovering(c, a, b); got != nil {
 			return got
 		}
 	}
@@ -456,78 +303,43 @@ func (g *GatorNetwork) lowestCovering(n *gnode, a, b int) *gnode {
 }
 
 func spanContains(span []int, v int) bool {
-	i := sort.SearchInts(span, v)
-	return i < len(span) && span[i] == v
-}
-
-// NewLeftDeepGator builds the binary left-deep (Rete-style) tree over
-// variables in index order.
-func NewLeftDeepGator(triggerID uint64, vars []Var, edges []JoinEdge, catchAll expr.CNF) (*GatorNetwork, error) {
-	if len(vars) < 2 {
-		return nil, fmt.Errorf("discrim: gator network needs >= 2 variables")
-	}
-	shape := NodeShape(LeafShape(0), LeafShape(1))
-	for v := 2; v < len(vars); v++ {
-		shape = NodeShape(shape, LeafShape(v))
-	}
-	return NewGatorNetwork(triggerID, vars, edges, catchAll, shape)
+	_, ok := slices.BinarySearch(span, v)
+	return ok
 }
 
 // NewGreedyGator builds a left-deep tree over variables ordered by
 // ascending estimated cardinality (the [Hans97b] optimizer reduced to
 // its leading heuristic: join small memories first so beta memories
-// stay small). card[i] estimates variable i's memory size; nil means
-// uniform.
+// stay small), re-ordered so that each next variable shares an edge
+// with those already joined when one does — a beta memory then holds a
+// join, not a cross product. card[i] estimates variable i's memory
+// size; nil means uniform, which grows the tree in connected order from
+// the first variable.
 func NewGreedyGator(triggerID uint64, vars []Var, edges []JoinEdge, catchAll expr.CNF, card []int) (*GatorNetwork, error) {
-	if len(vars) < 2 {
-		return nil, fmt.Errorf("discrim: gator network needs >= 2 variables")
-	}
-	order := make([]int, len(vars))
-	for i := range order {
-		order[i] = i
+	remaining := make([]int, len(vars))
+	for i := range remaining {
+		remaining[i] = i
 	}
 	if card != nil {
-		sort.SliceStable(order, func(a, b int) bool { return card[order[a]] < card[order[b]] })
+		sort.SliceStable(remaining, func(a, b int) bool { return card[remaining[a]] < card[remaining[b]] })
 	}
-	// Prefer connected growth: re-order so each next variable shares an
-	// edge with the chosen prefix when possible.
-	adj := make(map[int]map[int]bool)
-	for _, e := range edges {
-		if adj[e.A] == nil {
-			adj[e.A] = map[int]bool{}
-		}
-		if adj[e.B] == nil {
-			adj[e.B] = map[int]bool{}
-		}
-		adj[e.A][e.B] = true
-		adj[e.B][e.A] = true
+	var chosen []int
+	connected := func(v int) bool {
+		return slices.ContainsFunc(edges, func(e JoinEdge) bool {
+			return (e.A == v || e.B == v) && slices.Contains(chosen, e.other(v))
+		})
 	}
-	chosen := []int{order[0]}
-	remaining := append([]int(nil), order[1:]...)
+	var shape *Shape
 	for len(remaining) > 0 {
-		pick := -1
-		for i, cand := range remaining {
-			connected := false
-			for _, c := range chosen {
-				if adj[c][cand] {
-					connected = true
-					break
-				}
-			}
-			if connected {
-				pick = i
-				break
-			}
+		pick := max(slices.IndexFunc(remaining, connected), 0)
+		v := remaining[pick]
+		remaining = slices.Delete(remaining, pick, pick+1)
+		chosen = append(chosen, v)
+		if shape == nil {
+			shape = LeafShape(v)
+		} else {
+			shape = NodeShape(shape, LeafShape(v))
 		}
-		if pick == -1 {
-			pick = 0
-		}
-		chosen = append(chosen, remaining[pick])
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-	}
-	shape := NodeShape(LeafShape(chosen[0]), LeafShape(chosen[1]))
-	for i := 2; i < len(chosen); i++ {
-		shape = NodeShape(shape, LeafShape(chosen[i]))
 	}
 	return NewGatorNetwork(triggerID, vars, edges, catchAll, shape)
 }
@@ -550,7 +362,7 @@ func (g *GatorNetwork) BetaSizes() []int {
 }
 
 // MemorySize reports variable v's alpha memory cardinality.
-func (g *GatorNetwork) MemorySize(v int) int { return g.mems[v].len() }
+func (g *GatorNetwork) MemorySize(v int) int { return g.Vars[v].mem.len() }
 
 // NotifyToken drives the network: memories are maintained and every
 // root-level combination created (plus token) or retracted (minus
@@ -573,254 +385,123 @@ func (g *GatorNetwork) NotifyToken(v int, tok datasource.Token, pnode PNode) err
 	return nil
 }
 
+// insert adds tu's instance at leaf v and joins it upward, level by
+// level: each node joins the new partials of the child below with that
+// child's siblings and deposits what it makes; only the partials its
+// memory accepts go on, and the root's go to the P-node.
 func (g *GatorNetwork) insert(v int, tu types.Tuple, tok datasource.Token, pnode PNode) error {
 	if tu == nil {
 		return nil
 	}
-	serial := g.mems[v].add(tu)
-	// Seed partial: just variable v bound.
-	seed := make([]types.Tuple, len(g.Vars))
-	seed[v] = tu
-	serials := make([]uint64, len(g.Vars))
-	serials[v] = serial
-	return g.propagate(g.leaves[v], []*partial{{tuples: seed, serials: serials}}, tok, v, pnode)
+	n := len(g.Vars)
+	buf := make([]types.Tuple, 2*n)
+	j := &gjoin{g: g, env: expr.MultiEnv{Tuples: buf[:n:n], Olds: buf[n:]}, serials: make([]uint64, n)}
+	combo := j.env.Tuples
+	j.env.Olds[v] = tok.Old
+	combo[v], j.serials[v] = tu, g.Vars[v].mem.add(tu)
+	from := g.leaves[v]
+	j.extend(from.parent, from.siblings)
+	for node := from.parent; j.err == nil; node = node.parent {
+		fresh := slices.DeleteFunc(j.out, func(p *partial) bool { return !node.beta.add(p) })
+		if node == g.root || len(fresh) == 0 {
+			return g.fire(fresh, &j.env, v, tok, pnode)
+		}
+		j.out = nil
+		for _, p := range fresh {
+			copy(combo, p.tuples)
+			copy(j.serials, p.serials)
+			j.extend(node.parent, node.siblings)
+		}
+	}
+	return j.err
 }
 
-// propagate joins fresh partials from child upward through its parents.
-func (g *GatorNetwork) propagate(from *gnode, fresh []*partial, tok datasource.Token, seedVar int, pnode PNode) error {
-	node := from.parent
-	current := fresh
-	for node != nil && len(current) > 0 {
-		var produced []*partial
-		for _, p := range current {
-			combos, err := g.joinSiblings(node, from, p, tok, seedVar)
-			if err != nil {
-				return err
-			}
-			produced = append(produced, combos...)
-		}
-		// Deposit into this node's beta; only genuinely new combos keep
-		// propagating (serial identity makes duplicates impossible except
-		// through re-delivery of the same propagation).
-		var kept []*partial
-		for _, p := range produced {
-			p.key = partialKey(p.serials, node.span)
-			if node.beta.add(p) {
-				kept = append(kept, p)
-			}
-		}
-		if node == g.root {
-			for _, p := range kept {
-				ok, err := g.passCatchAll(p, tok, seedVar)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-				if pnode != nil {
-					out := make([]types.Tuple, len(p.tuples))
-					copy(out, p.tuples)
-					if !pnode(Combo{Tuples: out, Token: tok, SeedVar: seedVar}) {
-						return nil
-					}
-				}
-			}
-			return nil
-		}
-		from = node
-		current = kept
-		node = node.parent
-	}
-	return nil
+// gjoin is one insert's scratch: the combination being bound and its
+// serials, owned by the call.
+type gjoin struct {
+	g       *GatorNetwork
+	env     expr.MultiEnv // the combination; only the seed has an old image
+	serials []uint64
+	out     []*partial // the partials made at the current level
+	err     error
 }
 
-// joinSiblings extends partial p (covering child `from`'s span) with
-// every combination of the other children's memories that satisfies the
-// node's join edges.
-func (g *GatorNetwork) joinSiblings(node, from *gnode, p *partial, tok datasource.Token, seedVar int) ([]*partial, error) {
-	others := make([]*gnode, 0, len(node.children)-1)
-	for _, c := range node.children {
-		if c != from {
-			others = append(others, c)
+// extend binds sibs' spans in every way their memories allow; each
+// combination that passes node's edges becomes a new partial of node.
+func (j *gjoin) extend(node *gnode, sibs []sibling) {
+	if j.err != nil {
+		return
+	}
+	combo := j.env.Tuples
+	if len(sibs) == 0 {
+		ok, err := allHold(node.tests, &j.env)
+		if j.err = err; ok {
+			j.out = append(j.out, &partial{tuples: slices.Clone(combo), serials: slices.Clone(j.serials)})
 		}
+		return
 	}
-	combo := make([]types.Tuple, len(g.Vars))
-	copy(combo, p.tuples)
-	serials := make([]uint64, len(g.Vars))
-	copy(serials, p.serials)
-	bound := make([]bool, len(g.Vars))
-	for _, v := range from.span {
-		bound[v] = true
+	s := &sibs[0]
+	if v := s.node.leafVar; v >= 0 {
+		j.g.Vars[v].mem.scan(s.probe, combo, func(in instance) bool {
+			combo[v], j.serials[v] = in.tuple, in.serial
+			j.extend(node, sibs[1:])
+			return j.err == nil
+		})
+		combo[v], j.serials[v] = nil, 0
+		return
 	}
-	olds := make([]types.Tuple, len(g.Vars))
-	olds[seedVar] = tok.Old
-
-	var out []*partial
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(others) {
-			// All children bound: test this node's edges.
-			for _, ei := range node.edges {
-				e := g.Edges[ei]
-				ok, err := evalOnCombo(e.Pred, combo, olds)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-			tuples := make([]types.Tuple, len(g.Vars))
-			copy(tuples, combo)
-			ser := make([]uint64, len(g.Vars))
-			copy(ser, serials)
-			out = append(out, &partial{tuples: tuples, serials: ser})
-			return nil
+	span := s.node.span
+	s.node.beta.scan(s.probe, combo, func(p *partial) bool {
+		for _, v := range span {
+			combo[v], j.serials[v] = p.tuples[v], p.serials[v]
 		}
-		sib := others[i]
-		try := func(tuples []types.Tuple, ser []uint64) error {
-			for _, v := range sib.span {
-				combo[v] = tuples[v]
-				serials[v] = ser[v]
-				bound[v] = true
-			}
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-			for _, v := range sib.span {
-				combo[v] = nil
-				serials[v] = 0
-				bound[v] = false
-			}
-			return nil
-		}
-		var ierr error
-		if sib.leafVar >= 0 {
-			v := sib.leafVar
-			probeCol, probeVal, ok := g.leafProbe(node, sib, combo, bound)
-			tmpT := make([]types.Tuple, len(g.Vars))
-			tmpS := make([]uint64, len(g.Vars))
-			emit := func(serial uint64, tu types.Tuple) bool {
-				tmpT[v], tmpS[v] = tu, serial
-				if err := try(tmpT, tmpS); err != nil {
-					ierr = err
-					return false
-				}
-				return true
-			}
-			if ok {
-				if !g.mems[v].probe(probeCol, probeVal, emit) {
-					g.mems[v].forEach(emit)
-				}
-			} else {
-				g.mems[v].forEach(emit)
-			}
-		} else {
-			emit := func(sp *partial) bool {
-				if err := try(sp.tuples, sp.serials); err != nil {
-					ierr = err
-					return false
-				}
-				return true
-			}
-			if vc, val, ok := g.betaProbe(node, sib, combo, bound); ok {
-				if !sib.beta.probe(vc, val, emit) {
-					sib.beta.forEach(emit)
-				}
-			} else {
-				sib.beta.forEach(emit)
-			}
-		}
-		return ierr
+		j.extend(node, sibs[1:])
+		return j.err == nil
+	})
+	for _, v := range span {
+		combo[v], j.serials[v] = nil, 0
 	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// betaProbe finds an equijoin at node between a bound variable and a
-// variable inside beta sibling sib, enabling an indexed beta probe.
-func (g *GatorNetwork) betaProbe(node, sib *gnode, combo []types.Tuple, bound []bool) (varCol, types.Value, bool) {
-	for _, ei := range node.edges {
-		for _, q := range equijoinsOf(g.Edges[ei]) {
-			switch {
-			case spanContains(sib.span, q.a) && bound[q.b]:
-				return varCol{q.a, q.colA}, combo[q.b].Get(q.colB), true
-			case spanContains(sib.span, q.b) && bound[q.a]:
-				return varCol{q.b, q.colB}, combo[q.a].Get(q.colA), true
-			}
-		}
-	}
-	return varCol{}, types.Value{}, false
-}
-
-// leafProbe finds an equijoin between leaf sib and a bound variable
-// among node's edges, enabling an indexed probe.
-func (g *GatorNetwork) leafProbe(node, sib *gnode, combo []types.Tuple, bound []bool) (int, types.Value, bool) {
-	v := sib.leafVar
-	for _, ei := range node.edges {
-		for _, q := range equijoinsOf(g.Edges[ei]) {
-			switch {
-			case q.a == v && bound[q.b]:
-				return q.colA, combo[q.b].Get(q.colB), true
-			case q.b == v && bound[q.a]:
-				return q.colB, combo[q.a].Get(q.colA), true
-			}
-		}
-	}
-	return 0, types.Value{}, false
-}
-
-func (g *GatorNetwork) passCatchAll(p *partial, tok datasource.Token, seedVar int) (bool, error) {
-	if len(g.CatchAll.Clauses) == 0 {
-		return true, nil
-	}
-	olds := make([]types.Tuple, len(g.Vars))
-	olds[seedVar] = tok.Old
-	return evalOnCombo(g.CatchAll, p.tuples, olds)
 }
 
 // remove retracts a tuple: it leaves the alpha memory and every beta
-// combination containing it; retracted root combinations are streamed
-// to pnode (minus notifications).
+// combination containing it — those are in the betas on the leaf's path
+// to the root — and the retracted root combinations are streamed to
+// pnode (minus notifications).
 func (g *GatorNetwork) remove(v int, tu types.Tuple, tok datasource.Token, pnode PNode) error {
 	if tu == nil {
 		return nil
 	}
-	serial := g.mems[v].remove(tu)
+	serial := g.Vars[v].mem.remove(tu)
 	if serial == 0 {
 		return nil
 	}
-	var walk func(n *gnode) error
-	walk = func(n *gnode) error {
-		for _, c := range n.children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		if n.beta == nil || !spanContains(n.span, v) {
-			return nil
-		}
-		removed := n.beta.removeBySerial(v, serial)
-		if n == g.root && pnode != nil {
-			for _, p := range removed {
-				ok, err := g.passCatchAll(p, tok, v)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-				out := make([]types.Tuple, len(p.tuples))
-				copy(out, p.tuples)
-				if !pnode(Combo{Tuples: out, Token: tok, SeedVar: v}) {
-					return nil
-				}
-			}
-		}
+	var gone []*partial
+	for n := g.leaves[v].parent; n != nil; n = n.parent {
+		gone = n.beta.removeBySerial(v, serial)
+	}
+	if pnode == nil || len(gone) == 0 {
 		return nil
 	}
-	return walk(g.root)
+	env := &expr.MultiEnv{Olds: make([]types.Tuple, len(g.Vars))}
+	env.Olds[v] = tok.Old
+	return g.fire(gone, env, v, tok, pnode)
+}
+
+// fire hands root combinations that pass the catch-all conjuncts to
+// pnode; env carries the seed variable's old image.
+func (g *GatorNetwork) fire(root []*partial, env *expr.MultiEnv, seedVar int, tok datasource.Token, pnode PNode) error {
+	if pnode == nil {
+		return nil
+	}
+	for _, p := range root {
+		env.Tuples = p.tuples
+		ok, err := allHold(g.catchAll, env)
+		if err != nil {
+			return err
+		}
+		if ok && !pnode(Combo{Tuples: p.tuples, Token: tok, SeedVar: seedVar}) {
+			return nil
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"triggerman/internal/datasource"
@@ -53,7 +54,7 @@ func TestGatorShapeValidation(t *testing.T) {
 	// Virtual memories are rejected.
 	vv := gatorVars()
 	vv[0].Kind = Virtual
-	if _, err := NewLeftDeepGator(1, vv, edges, expr.CNF{}); err == nil {
+	if _, err := NewGreedyGator(1, vv, edges, expr.CNF{}, nil); err == nil {
 		t.Error("virtual memory should be rejected")
 	}
 	// Valid shapes: left-deep, right-deep, bushy ternary.
@@ -69,9 +70,9 @@ func TestGatorShapeValidation(t *testing.T) {
 }
 
 func TestGatorIrisEquivalence(t *testing.T) {
-	// The Iris scenario through a left-deep Gator matches the TREAT
-	// network exactly.
-	g, err := NewLeftDeepGator(42, gatorVars(), gatorEdges(t), expr.CNF{})
+	// The Iris scenario through the catalog's Gator shape matches the
+	// TREAT network exactly.
+	g, err := NewGreedyGator(42, gatorVars(), gatorEdges(t), expr.CNF{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,51 +113,35 @@ func TestGatorIrisEquivalence(t *testing.T) {
 	}
 }
 
-// TestGatorAgreesWithTreatRandomized drives identical random streams
-// through the flat TREAT network and three Gator shapes; every firing
-// sequence must match (as multisets per token).
+// TestGatorAgreesWithTreatRandomized drives one random stream of
+// inserts, duplicate rows, deletes, phantom deletes and updates through
+// the flat TREAT network and each of four Gator shapes, and holds both
+// to a from-scratch recompute over the live rows (the incremental
+// maintenance correctness of Veldhuizen's LFTJ paper): every token's
+// firings equal, as a multiset, a nested loop over the live rows; after
+// every token each variable's memory holds exactly its live rows, and
+// the Gator root beta holds the whole join.
 func TestGatorAgreesWithTreatRandomized(t *testing.T) {
-	shapes := map[string]func() interface {
-		NotifyToken(int, datasource.Token, PNode) error
-	}{
-		"left-deep": func() interface {
-			NotifyToken(int, datasource.Token, PNode) error
-		} {
-			g, err := NewLeftDeepGator(1, gatorVars(), gatorEdges(t), expr.CNF{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
+	shapes := map[string]func() (*GatorNetwork, error){
+		"left-deep": func() (*GatorNetwork, error) {
+			return NewGatorNetwork(1, gatorVars(), gatorEdges(t), expr.CNF{},
+				NodeShape(NodeShape(LeafShape(0), LeafShape(1)), LeafShape(2)))
 		},
-		"bushy": func() interface {
-			NotifyToken(int, datasource.Token, PNode) error
-		} {
-			g, err := NewGatorNetwork(1, gatorVars(), gatorEdges(t), expr.CNF{},
+		"bushy": func() (*GatorNetwork, error) {
+			return NewGatorNetwork(1, gatorVars(), gatorEdges(t), expr.CNF{},
 				NodeShape(LeafShape(1), NodeShape(LeafShape(0), LeafShape(2))))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
 		},
-		"ternary": func() interface {
-			NotifyToken(int, datasource.Token, PNode) error
-		} {
-			g, err := NewGatorNetwork(1, gatorVars(), gatorEdges(t), expr.CNF{},
+		"ternary": func() (*GatorNetwork, error) {
+			return NewGatorNetwork(1, gatorVars(), gatorEdges(t), expr.CNF{},
 				NodeShape(LeafShape(0), LeafShape(1), LeafShape(2)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
 		},
-		"greedy": func() interface {
-			NotifyToken(int, datasource.Token, PNode) error
-		} {
-			g, err := NewGreedyGator(1, gatorVars(), gatorEdges(t), expr.CNF{}, []int{3, 10, 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
+		"greedy": func() (*GatorNetwork, error) {
+			return NewGreedyGator(1, gatorVars(), gatorEdges(t), expr.CNF{}, []int{3, 10, 2})
 		},
+	}
+	// joins is the trigger's condition: s.spno = r.spno and r.nno = h.nno.
+	joins := func(s, h, r types.Tuple) bool {
+		return types.Equal(s.Get(0), r.Get(0)) && types.Equal(r.Get(1), h.Get(3))
 	}
 	for name, build := range shapes {
 		t.Run(name, func(t *testing.T) {
@@ -164,54 +149,186 @@ func TestGatorAgreesWithTreatRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gator := build()
+			gator, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
 			rng := rand.New(rand.NewSource(77))
-			// Track live tuples per variable so deletes target real
-			// instances (phantom deletes are no-ops in both networks).
+			gen := []func() types.Tuple{
+				func() types.Tuple { return sp(int64(rng.Intn(5)), fmt.Sprintf("n%d", rng.Intn(3))) },
+				func() types.Tuple { return house(int64(rng.Intn(20)), int64(rng.Intn(5))) },
+				func() types.Tuple { return rep(int64(rng.Intn(5)), int64(rng.Intn(5))) },
+			}
 			live := make([][]types.Tuple, 3)
-			for step := 0; step < 600; step++ {
-				var tok datasource.Token
-				var v int
-				switch rng.Intn(3) {
-				case 0:
-					v = 0
-					tok = insertTok(1, sp(int64(rng.Intn(5)), fmt.Sprintf("n%d", rng.Intn(3))))
-				case 1:
-					v = 1
-					tok = insertTok(2, house(int64(rng.Intn(20)), int64(rng.Intn(5))))
-				default:
-					v = 2
-					tok = insertTok(3, rep(int64(rng.Intn(5)), int64(rng.Intn(5))))
+			// recompute lists the combinations with seed at variable fix
+			// (fix -1: the whole join) by a nested loop over live.
+			recompute := func(fix int, seed types.Tuple) []string {
+				over := func(v int) []types.Tuple {
+					if v == fix {
+						return []types.Tuple{seed}
+					}
+					return live[v]
 				}
-				if rng.Intn(5) == 0 && len(live[v]) > 0 {
-					i := rng.Intn(len(live[v]))
-					tok.Op = datasource.OpDelete
-					tok.Old, tok.New = live[v][i], nil
+				var out []string
+				for _, s := range over(0) {
+					for _, r := range over(2) {
+						for _, h := range over(1) {
+							if joins(s, h, r) {
+								out = append(out, fmt.Sprint([]types.Tuple{s, h, r}))
+							}
+						}
+					}
+				}
+				sort.Strings(out)
+				return out
+			}
+			for step := 0; step < 600; step++ {
+				v := rng.Intn(3)
+				tok := datasource.Token{SourceID: int32(v + 1)}
+				i := -1
+				if len(live[v]) > 0 {
+					i = rng.Intn(len(live[v]))
+				}
+				phantom := false
+				switch op := rng.Intn(10); {
+				case op < 3 || i < 0:
+					tok.Op, tok.New = datasource.OpInsert, gen[v]()
+				case op < 4: // a duplicate row: a second instance
+					tok.Op, tok.New = datasource.OpInsert, live[v][i]
+				case op < 7:
+					tok.Op, tok.Old = datasource.OpDelete, live[v][i]
+				case op < 8: // a row no memory holds (spno, hno -1)
+					tok.Op, tok.Old, phantom = datasource.OpDelete, gen[v](), true
+					tok.Old[0] = types.NewInt(-1)
+				default:
+					tok.Op, tok.Old, tok.New = datasource.OpUpdate, live[v][i], gen[v]()
+				}
+				var want []string // a phantom delete retracts and fires nothing
+				if !phantom {
+					want = recompute(v, tok.Effective())
+				}
+				if tok.Old != nil && !phantom {
 					live[v] = append(live[v][:i], live[v][i+1:]...)
-				} else {
+				}
+				if tok.New != nil {
 					live[v] = append(live[v], tok.New)
 				}
-				var a, b []string
-				if err := treat.NotifyToken(v, tok, func(c Combo) bool {
-					a = append(a, fmt.Sprint(c.Tuples))
-					return true
-				}); err != nil {
-					t.Fatal(err)
+				for _, net := range []struct {
+					name   string
+					vars   []Var
+					notify func(int, datasource.Token, PNode) error
+				}{{"treat", treat.Vars, treat.NotifyToken}, {name, gator.Vars, gator.NotifyToken}} {
+					var got []string
+					if err := net.notify(v, tok, func(c Combo) bool {
+						got = append(got, fmt.Sprint(c.Tuples))
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					sort.Strings(got)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("step %d (%s on var %d):\n %s %v\n recompute %v", step, tok, v, net.name, got, want)
+					}
+					for mv := range live {
+						if got, want := memoryRows(net.vars[mv].mem), sortedRows(live[mv]); fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("step %d: %s memory %d holds %v, live %v", step, net.name, mv, got, want)
+						}
+					}
 				}
-				if err := gator.NotifyToken(v, tok, func(c Combo) bool {
-					b = append(b, fmt.Sprint(c.Tuples))
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-				sort.Strings(a)
-				sort.Strings(b)
-				if fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("step %d (%s on var %d):\n treat %v\n gator %v", step, tok, v, a, b)
+				sizes := gator.BetaSizes()
+				if got, want := sizes[len(sizes)-1], len(recompute(-1, nil)); got != want {
+					t.Fatalf("step %d: root beta holds %d combinations, the join has %d", step, got, want)
 				}
 			}
 		})
 	}
+}
+
+// Inserts on sibling leaves run concurrently (tokens from different
+// sources are processed in parallel), and each can see the other's new
+// instance: the partial both then build is stored, and fired, once.
+func TestGatorConcurrentSiblingInserts(t *testing.T) {
+	g, err := NewGreedyGator(1, gatorVars(), gatorEdges(t), expr.CNF{}, nil) // ((s r) h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 100
+	gen := []func(i int64) types.Tuple{ // every row distinct
+		func(i int64) types.Tuple { return sp(i%10, fmt.Sprint(i)) },
+		func(i int64) types.Tuple { return house(i, i%10) },
+		func(i int64) types.Tuple { return rep(i%10, i/10) },
+	}
+	var mu sync.Mutex
+	fired := make(map[string]int)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for v := range gen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := int64(0); i < rows; i++ {
+				if err := g.NotifyToken(v, insertTok(int32(v+1), gen[v](i)), func(c Combo) bool {
+					mu.Lock()
+					fired[fmt.Sprint(c.Tuples)]++
+					mu.Unlock()
+					return true
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	sr, join := 0, 0
+	for i := int64(0); i < rows; i++ {
+		for k := int64(0); k < rows; k++ {
+			s, r := gen[0](i), gen[2](k)
+			if !types.Equal(s.Get(0), r.Get(0)) {
+				continue
+			}
+			sr++
+			for l := int64(0); l < rows; l++ {
+				if h := gen[1](l); types.Equal(r.Get(1), h.Get(3)) {
+					join++
+					if key := fmt.Sprint([]types.Tuple{s, h, r}); fired[key] != 1 {
+						t.Fatalf("%s fired %d times", key, fired[key])
+					}
+				}
+			}
+		}
+	}
+	if len(fired) != join {
+		t.Errorf("%d combinations fired, the join has %d", len(fired), join)
+	}
+	if sizes := g.BetaSizes(); sizes[0] != sr || sizes[1] != join {
+		t.Errorf("beta sizes %v, want [%d %d]", sizes, sr, join)
+	}
+}
+
+// memoryRows lists a memory's tuples, sorted, checking its size count.
+func memoryRows(m *memory) []string {
+	var out []string
+	m.scan(scanAll, nil, func(in instance) bool {
+		out = append(out, fmt.Sprint(in.tuple))
+		return true
+	})
+	if len(out) != m.len() {
+		out = append(out, fmt.Sprintf("(size says %d)", m.len()))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func sortedRows(tus []types.Tuple) []string {
+	out := make([]string, len(tus))
+	for i, tu := range tus {
+		out[i] = fmt.Sprint(tu)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestGatorBetaCaching(t *testing.T) {
@@ -240,7 +357,7 @@ func TestGatorBetaCaching(t *testing.T) {
 }
 
 func TestGatorUpdateToken(t *testing.T) {
-	g, err := NewLeftDeepGator(1, gatorVars(), gatorEdges(t), expr.CNF{})
+	g, err := NewGreedyGator(1, gatorVars(), gatorEdges(t), expr.CNF{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

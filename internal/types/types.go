@@ -8,9 +8,7 @@
 package types
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -209,28 +207,36 @@ func Compare(a, b Value) int {
 // here; SQL three-valued logic is applied at the expression layer).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Hash returns a stable hash of the value, with int/float coalesced so
-// that values that compare equal hash equal.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
+// FNV-1a, folded in place so hashing allocates nothing.
+const (
+	hashSeed  = 14695981039346656037
+	hashPrime = 1099511628211
+)
+
+// Hash returns a hash of the value consistent with Equal: values that
+// compare equal hash equal (int 2 and float 2.0, char and varchar, -0
+// and +0). It is the key every in-memory value lookup uses, with Equal
+// telling collisions apart.
+func (v Value) Hash() uint64 { return v.hashOnto(hashSeed) }
+
+// hashOnto folds a kind tag and the payload into h: numerics as their
+// float64 bits in one word, strings as their length and bytes.
+func (v Value) hashOnto(h uint64) uint64 {
 	switch v.kind {
-	case KindNull:
-		h.Write([]byte{0})
 	case KindInt, KindFloat:
 		f, _ := v.AsFloat()
-		if v.kind == KindInt && float64(v.i) != f {
-			// unreachable; defensive
-			f = float64(v.i)
+		if f == 0 {
+			f = 0 // -0 == +0
 		}
-		var buf [9]byte
-		buf[0] = 1
-		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(f))
-		h.Write(buf[:])
+		return ((h^1)*hashPrime ^ math.Float64bits(f)) * hashPrime
 	case KindChar, KindVarchar:
-		h.Write([]byte{2})
-		h.Write([]byte(v.s))
+		h = ((h^2)*hashPrime ^ uint64(len(v.s))) * hashPrime
+		for i := 0; i < len(v.s); i++ {
+			h = (h ^ uint64(v.s[i])) * hashPrime
+		}
+		return h
 	}
-	return h.Sum64()
+	return h * hashPrime // NULL: tag 0
 }
 
 // Column describes one attribute of a schema.
@@ -336,12 +342,21 @@ func (t Tuple) String() string {
 	return b.String()
 }
 
-// Hash returns a stable hash of the whole tuple.
+// Hash returns a hash of the whole tuple consistent with Equal.
 func (t Tuple) Hash() uint64 {
-	h := uint64(1469598103934665603)
+	h := uint64(hashSeed)
 	for _, v := range t {
-		h ^= v.Hash()
-		h *= 1099511628211
+		h = v.hashOnto(h)
+	}
+	return h
+}
+
+// HashCols hashes t's projection onto cols without building it: it
+// equals Tuple{t.Get(cols[0]), t.Get(cols[1]), ...}.Hash().
+func (t Tuple) HashCols(cols []int) uint64 {
+	h := uint64(hashSeed)
+	for _, c := range cols {
+		h = t.Get(c).hashOnto(h)
 	}
 	return h
 }

@@ -109,19 +109,39 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// Hash is the key of every in-memory value lookup (join indexes, groups,
+// min/max multisets), so values Equal calls equal must hash equal, and
+// hashing must not allocate.
 func TestEqualAndHashConsistency(t *testing.T) {
-	// int 2 and float 2.0 compare equal and must hash equal.
-	if !Equal(NewInt(2), NewFloat(2.0)) {
-		t.Fatal("int 2 != float 2.0")
+	vals := []Value{
+		Null(), NewInt(0), NewFloat(0), NewFloat(math.Copysign(0, -1)),
+		NewInt(2), NewFloat(2.0), NewFloat(2.5), NewInt(-7),
+		NewChar("x"), NewString("x"), NewString(""), NewString("2"),
 	}
-	if NewInt(2).Hash() != NewFloat(2.0).Hash() {
-		t.Error("hash(int 2) != hash(float 2.0)")
+	for _, a := range vals {
+		for _, b := range vals {
+			eq := Equal(a, b)
+			if eq && a.Hash() != b.Hash() {
+				t.Errorf("%#v and %#v are Equal but hash differently", a, b)
+			}
+			if !eq && a.Hash() == b.Hash() {
+				t.Errorf("%#v and %#v differ but hash alike: suspicious", a, b)
+			}
+			ta, tb := Tuple{a, NewString("k")}, Tuple{b, NewString("k")}
+			if eq && ta.Hash() != tb.Hash() {
+				t.Errorf("tuples %v and %v are Equal but hash differently", ta, tb)
+			}
+		}
 	}
-	if NewChar("x").Hash() != NewString("x").Hash() {
-		t.Error("hash(char x) != hash(varchar x)")
+	tu := Tuple{NewString("a"), NewInt(1), NewFloat(1)}
+	if got, want := tu.HashCols([]int{2, 0}), (Tuple{NewInt(1), NewString("a")}).Hash(); got != want {
+		t.Errorf("HashCols %x, hash of the projection %x", got, want)
 	}
-	if NewInt(1).Hash() == NewInt(2).Hash() {
-		t.Error("hash(1) == hash(2): suspicious")
+	if (Tuple{NewString("a"), NewString("bc")}).Hash() == (Tuple{NewString("ab"), NewString("c")}).Hash() {
+		t.Error("(a, bc) and (ab, c) hash alike: suspicious")
+	}
+	if n := testing.AllocsPerRun(100, func() { tu.Hash(); tu[0].Hash(); tu.HashCols([]int{1}) }); n != 0 {
+		t.Errorf("hashing allocates %.0f objects", n)
 	}
 }
 
