@@ -206,6 +206,36 @@ func allocRows(t *testing.T) []allocRow {
 	src, _ := sys.reg.ByName("emp")
 	ins := datasource.Token{SourceID: src.ID, Op: datasource.OpInsert, New: tok.New}
 	ok := func() error { return nil }
+	// An aggregate trigger whose group "a" holds one row and group "b"
+	// three: a second row crosses a's having and fires, a fourth leaves
+	// b's true and fires nothing; deleting either row again fires nothing.
+	if _, err := sys.DefineStreamSource("sale", ceilingSchema.Columns...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateTrigger("create trigger pair from sale group by name having count(salary) > 1 do raise event pair(sale.name, sum(salary))"); err != nil {
+		t.Fatal(err)
+	}
+	sale, _ := sys.reg.ByName("sale")
+	saleTok := func(op datasource.Op, name string) datasource.Token {
+		row := types.Tuple{types.NewString(name), types.NewInt(3)}
+		if op == datasource.OpDelete {
+			return datasource.Token{SourceID: sale.ID, Op: op, Old: row}
+		}
+		return datasource.Token{SourceID: sale.ID, Op: op, New: row}
+	}
+	for _, name := range []string{"a", "b", "b", "b"} {
+		if err := sys.apply(saleTok(datasource.OpInsert, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insDel := func(name string) func() {
+		ins, del := saleTok(datasource.OpInsert, name), saleTok(datasource.OpDelete, name)
+		return func() {
+			if err := errors.Join(sys.apply(ins), sys.apply(del)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	rows = append(rows, allocRow{
 		// The retry observer once declared its errors.As target before
 		// looking at err: one heap object per successful Do.
@@ -219,6 +249,14 @@ func allocRows(t *testing.T) []allocRow {
 				t.Fatal(err)
 			}
 		},
+	}, allocRow{
+		stage: "System.apply, aggregate, no firing", ceiling: 2,
+		what: "the two dequeued batch slices",
+		call: insDel("b"),
+	}, allocRow{
+		stage: "System.apply, aggregate firing", ceiling: 5,
+		what: "the two batch slices, and the firing's: the Fire list, its aggregate tuple, the delivered argument tuple",
+		call: insDel("a"),
 	})
 	return append(rows, networkRows(t)...)
 }
@@ -324,8 +362,8 @@ func networkRows(t *testing.T) []allocRow {
 			want(16)
 		},
 	}, {
-		stage: "State.Apply insert+delete, existing group", ceiling: 6,
-		what: "per judged group, the aggregate tuple and the having evaluator's environment (two)",
+		stage: "State.Apply insert+delete, existing group", ceiling: 0,
+		what: "nothing: a group is judged in scratch, and the having's environment is resident",
 		call: func() {
 			aggs.Agg.State.Apply(agg.OpInsert, nil, house, false, true, aggs.Agg.Having)
 			aggs.Agg.State.Apply(agg.OpDelete, house, nil, true, false, aggs.Agg.Having)

@@ -17,14 +17,17 @@ import (
 // TestCompiledActionsEqualMacroSubstitution runs every action shape two
 // ways on identical systems and compares everything that leaves the
 // action. The reference is the paper's macro substitution spelled out:
-// the action as parsed, every reference still a name, an execSQL
-// statement rewritten by SubstituteStatement and handed to the runner
-// as plain SQL, a raise event's arguments resolved name by name. The
-// subject is what the pipeline does: the action compiled to slots when
-// its description is loaded, and run over an Env. They must agree on
-// the statement's Result.Changes, on the events raised and their
-// arguments, on the tokens the capturing runner cascades, and on the
-// error text when the action is wrong.
+// an aggregate trigger's values written into the trigger's text in
+// place of its aggregate calls before it is parsed, the action as
+// parsed, every reference still a name, an execSQL statement rewritten
+// by SubstituteStatement and handed to the runner as plain SQL, a raise
+// event's arguments resolved name by name. The subject is what the
+// pipeline does: the action compiled to slots when its description is
+// loaded, its aggregate calls resolved to slots in the aggregate tuple,
+// and run over an Env. They must agree on the statement's
+// Result.Changes, on the events raised and their arguments, on the
+// tokens the capturing runner cascades, and on the error text when the
+// action is wrong.
 func TestCompiledActionsEqualMacroSubstitution(t *testing.T) {
 	s1 := types.Tuple{types.NewInt(2), types.NewInt(30), types.NewString("Ann")}
 	s1old := types.Tuple{types.NewInt(1), types.NewInt(25), types.NewString("ann")}
@@ -40,9 +43,9 @@ func TestCompiledActionsEqualMacroSubstitution(t *testing.T) {
 		from    string // the trigger's from clause
 		action  string
 		binding [][]types.Tuple // tuples, olds
-		// aggs, when set, are the values agg.SubstituteAction puts in
-		// place of the action's aggregate calls before it runs.
-		aggs    types.Tuple
+		// aggs, when set, pairs each aggregate call of the action, in the
+		// order of first appearance, with the text of its value.
+		aggs    []string
 		wantErr string // a fragment the error must contain; "" = must succeed
 		// wantEvents, when set, pins the outcome itself, not just the
 		// agreement of the two paths.
@@ -89,10 +92,20 @@ func TestCompiledActionsEqualMacroSubstitution(t *testing.T) {
 			action:     `raise event J(a.k, b.k, c.k, :OLD.c.name, :OLD.a.name)`,
 			wantEvents: "J(2, 3, 5, 'ann', NULL)"},
 
-		{name: "aggregate raise", from: "s", binding: one, aggs: types.Tuple{types.NewInt(55), types.NewInt(2)},
+		{name: "aggregate raise", from: "s", binding: one, aggs: []string{"sum(s.v)", "55", "count(s.k)", "2"},
 			action: `raise event G(s.k, sum(s.v), count(s.k) + 1)`, wantEvents: "G(2, 55, 3)"},
-		{name: "aggregate insert", from: "s", binding: one, aggs: types.Tuple{types.NewInt(55)},
+		{name: "aggregate raise, functions and NULL", from: "s", binding: one,
+			aggs:       []string{"min(s.name)", "'Ann'", "max(s.v)", "-7", "avg(s.v)", "NULL"},
+			action:     `raise event G(upper(min(s.name)), abs(0 - max(s.v)) * 2, avg(s.v) + 1, :OLD.s.v)`,
+			wantEvents: "G('ANN', 14, NULL, 25)"},
+		{name: "aggregate insert", from: "s", binding: one, aggs: []string{"sum(s.v)", "55"},
 			action: `execSQL 'insert into target values (:NEW.s.k, sum(s.v), :NEW.s.name)'`},
+		{name: "aggregate update", from: "s", binding: one, aggs: []string{"sum(s.v)", "55", "count(s.k)", "2"},
+			action: `execSQL 'update target set v = sum(s.v) + v where k <= count(s.k) and name <> :NEW.s.name'`},
+		{name: "aggregate delete", from: "s", binding: one, aggs: []string{"max(s.v)", "30", "avg(s.v)", "12.5"},
+			action: `execSQL 'delete from target where v > max(s.v) - avg(s.v)'`},
+		{name: "aggregate select", from: "s", binding: one, aggs: []string{"min(s.v)", "-3", "count(s.k)", "3"},
+			action: `execSQL 'select k, v + min(s.v) as m from target where k < count(s.k)'`},
 
 		{name: "ambiguous unqualified parameter", from: "s a, s b", binding: two,
 			action:  `execSQL 'insert into target values (:NEW.k, 1, :NEW.a.name)'`,
@@ -112,6 +125,11 @@ func TestCompiledActionsEqualMacroSubstitution(t *testing.T) {
 		{name: "bare reference in an insert value", from: "s", binding: one,
 			action:  `execSQL 'insert into target values (:NEW.s.k, v, :NEW.s.name)'`,
 			wantErr: `unbound column reference v`},
+		{name: "unknown column beside an aggregate", from: "s", binding: one, aggs: []string{"count(s.k)", "2"},
+			action: `raise event G(count(s.k), s.nosuch)`, wantErr: `unknown column "nosuch" of "s" in action`},
+		{name: "unknown unqualified column beside an aggregate", from: "s", binding: one, aggs: []string{"sum(s.v)", "4"},
+			action:  `execSQL 'insert into target values (:NEW.nosuch, sum(s.v), :NEW.s.name)'`,
+			wantErr: `unknown column "nosuch" of "" in action`},
 		{name: "unknown target column", from: "s", binding: one,
 			action:  `execSQL 'update target set v = 1 where nosuch = :NEW.s.k'`,
 			wantErr: `unknown column "nosuch"`},
@@ -184,7 +202,7 @@ func (q *recordingQueue) Enqueue(t datasource.Token) (datasource.Token, error) {
 // target table of four rows, and runs one action over one binding:
 // compiled to slots and run over an Env, or — the reference — by
 // substitution over the names as parsed.
-func runAction(t *testing.T, compiled bool, from, action string, binding [][]types.Tuple, aggs types.Tuple) outcome {
+func runAction(t *testing.T, compiled bool, from, action string, binding [][]types.Tuple, aggs []string) outcome {
 	t.Helper()
 	sys := syncSystem(t)
 	cols := []types.Column{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}, {Name: "name", Kind: types.KindVarchar}}
@@ -210,7 +228,13 @@ func runAction(t *testing.T, compiled bool, from, action string, binding [][]typ
 		t.Fatal(err)
 	}
 
-	st, err := parser.Parse("create trigger x from " + from + " do " + action)
+	text := "create trigger x from " + from + " do " + action
+	if !compiled {
+		for i := 0; i < len(aggs); i += 2 {
+			text = strings.ReplaceAll(text, aggs[i], aggs[i+1])
+		}
+	}
+	st, err := parser.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,19 +245,31 @@ func runAction(t *testing.T, compiled bool, from, action string, binding [][]typ
 	for i := range schemas {
 		schemas[i] = src.Schema
 	}
-	if compiled {
-		exec.Compile(act, varIndex, schemas)
-	}
-	if aggs != nil {
-		specs, err := agg.CollectActionSpecs(act, src.Schema, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if act, err = agg.SubstituteAction(act, src.Schema, specs, aggs); err != nil {
-			t.Fatal(err)
-		}
-	}
 	b := exec.Binding{VarIndex: varIndex, Tuples: binding[0], Olds: binding[1]}
+	if compiled {
+		// As a load does it: the action compiled, then its aggregate calls
+		// resolved against the state the trigger's create made.
+		exec.Compile(act, varIndex, schemas)
+		if aggs != nil {
+			state, _, err := agg.Compile(nil, act, nil, src.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if act, err = state.ResolveAction(act, src.Schema); err != nil {
+				t.Fatal(err)
+			}
+			if len(state.Specs) != len(aggs)/2 {
+				t.Fatalf("specs %v, want one per call of %v", state.Specs, aggs)
+			}
+			for i := 1; i < len(aggs); i += 2 {
+				v, err := parser.ParseExpr(aggs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Aggregates = append(b.Aggregates, v.(*expr.Const).Val)
+			}
+		}
+	}
 	schemaOf := func(i int) *types.Schema { return schemas[i] }
 	runner := &keepResult{capturingRunner: capturingRunner{sys}}
 	exe := &exec.Executor{DB: runner, Bus: sys.bus}

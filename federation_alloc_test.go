@@ -49,6 +49,9 @@ func applyAllocs(t *testing.T, sys *System) float64 {
 // the apply path — peers read registry snapshots, the token never
 // sees them.
 func TestFederationAddsNoHotPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates") // as TestAllocCeilings; tier-1 runs this without -race
+	}
 	open := func() *System {
 		sys, err := Open(Options{
 			Synchronous:      true,

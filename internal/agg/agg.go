@@ -15,6 +15,12 @@
 //     to false;
 //   - the action may reference group-by columns and the aggregate
 //     values in effect at firing time.
+//
+// An aggregate trigger is compiled once, like every other trigger: one
+// resolver maps each aggregate call of its having and its action to the
+// call's slot in the group's aggregate tuple (AggVar). Judging a group
+// and firing the action then read the values by position; nothing is
+// rewritten or copied per token.
 package agg
 
 import (
@@ -116,6 +122,9 @@ type State struct {
 	// lookups compute from a row's group columns in place.
 	groups map[uint64][]*groupState
 	live   int
+	// vals is the aggregate tuple of the group being judged; a Fire
+	// gets its own copy.
+	vals types.Tuple
 }
 
 // NewState builds an empty aggregate state.
@@ -124,6 +133,7 @@ func NewState(groupCols []int, specs []Spec) *State {
 		GroupCols: groupCols,
 		Specs:     specs,
 		groups:    make(map[uint64][]*groupState),
+		vals:      make(types.Tuple, len(specs)),
 	}
 }
 
@@ -203,9 +213,9 @@ func (st *State) apply(g *groupState, tu types.Tuple, sign int64) {
 	}
 }
 
-// Values computes the current aggregate tuple for a group.
+// values computes g's aggregate tuple into st.vals.
 func (st *State) values(g *groupState) types.Tuple {
-	out := make(types.Tuple, len(st.Specs))
+	out := st.vals
 	for i, s := range st.Specs {
 		switch s.Func {
 		case Count:
@@ -236,7 +246,8 @@ func (st *State) values(g *groupState) types.Tuple {
 
 // Fire describes one group whose having condition transitioned to true.
 type Fire struct {
-	// GroupKey holds the group-by column values.
+	// GroupKey holds the group-by column values; it is the group's own
+	// key, which nothing writes.
 	GroupKey types.Tuple
 	// Aggregates holds the aggregate values (Specs order) at firing.
 	Aggregates types.Tuple
@@ -257,11 +268,11 @@ const (
 // Apply folds one token into the state. oldMatch/newMatch report
 // whether the old/new images passed the trigger's selection predicate
 // (rows outside the selection do not contribute). having evaluates the
-// rewritten having condition for a group; it is called with the group
-// key and aggregates and returns the condition's truth. Fires are the
-// false→true transitions produced by this token: an update touches at
-// most two groups, and the one the row leaves is judged, and fires,
-// before the one it joins.
+// having condition (see Compile) for a group; it is called with the
+// group key and aggregates, which it may not keep, and returns the
+// condition's truth. Fires are the false→true transitions produced by
+// this token: an update touches at most two groups, and the one the row
+// leaves is judged, and fires, before the one it joins.
 func (st *State) Apply(op Op, old, new types.Tuple, oldMatch, newMatch bool,
 	having func(groupKey, aggs types.Tuple) (bool, error)) ([]Fire, error) {
 	st.mu.Lock()
@@ -298,7 +309,7 @@ func (st *State) judge(g *groupState, rep types.Tuple, having func(groupKey, agg
 	switch {
 	case ok && g.armed:
 		g.armed = false
-		fires = append(fires, Fire{GroupKey: g.key.Clone(), Aggregates: aggs, Representative: rep})
+		fires = append(fires, Fire{GroupKey: g.key, Aggregates: aggs.Clone(), Representative: rep})
 	case !ok:
 		g.armed = true
 	}
@@ -314,236 +325,151 @@ func (st *State) judge(g *groupState, rep types.Tuple, having func(groupKey, agg
 	return fires, nil
 }
 
-// RewriteHaving splits a having expression: every aggregate function
-// call count/sum/avg/min/max over a single bound column reference is
-// replaced by a reference to tuple-variable 1 ("the aggregate tuple"),
-// and the list of Specs (deduplicated) is returned. Non-aggregate
-// column references are rewritten to tuple-variable 0 positions of the
-// group key when they name group-by columns; other plain references are
-// rejected (SQL's "column must appear in GROUP BY" rule).
-func RewriteHaving(n expr.Node, groupCols []int) (expr.Node, []Spec, error) {
-	var specs []Spec
-	specIndex := func(s Spec) int {
-		for i, have := range specs {
-			if have == s {
-				return i
-			}
-		}
-		specs = append(specs, s)
-		return len(specs) - 1
-	}
-	groupPos := func(col int) int {
-		for i, c := range groupCols {
-			if c == col {
-				return i
-			}
-		}
-		return -1
-	}
-	var rewrite func(n expr.Node) (expr.Node, error)
-	rewrite = func(n expr.Node) (expr.Node, error) {
-		switch t := n.(type) {
-		case nil:
-			return nil, nil
-		case *expr.Const:
-			return expr.Clone(t), nil
-		case *expr.ColumnRef:
-			pos := groupPos(t.ColIdx)
-			if pos < 0 {
-				return nil, fmt.Errorf("agg: column %q must appear in group by or inside an aggregate", t.Column)
-			}
-			return &expr.ColumnRef{Column: t.Column, VarIdx: 0, ColIdx: pos}, nil
-		case *expr.FuncCall:
-			if f, ok := FuncFromName(t.Name); ok {
-				if len(t.Args) != 1 {
-					return nil, fmt.Errorf("agg: %s expects one column argument", t.Name)
-				}
-				ref, ok := t.Args[0].(*expr.ColumnRef)
-				if !ok || ref.ColIdx < 0 {
-					return nil, fmt.Errorf("agg: %s expects a column argument", t.Name)
-				}
-				idx := specIndex(Spec{Func: f, Col: ref.ColIdx})
-				return &expr.ColumnRef{Column: t.Name, VarIdx: 1, ColIdx: idx}, nil
-			}
-			out := &expr.FuncCall{Name: t.Name}
-			for _, a := range t.Args {
-				ra, err := rewrite(a)
-				if err != nil {
-					return nil, err
-				}
-				out.Args = append(out.Args, ra)
-			}
-			return out, nil
-		case *expr.Unary:
-			c, err := rewrite(t.Child)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Unary{Op: t.Op, Child: c}, nil
-		case *expr.Binary:
-			l, err := rewrite(t.Left)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rewrite(t.Right)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Binary{Op: t.Op, Left: l, Right: r}, nil
-		default:
-			return nil, fmt.Errorf("agg: cannot rewrite %T in having", n)
-		}
-	}
-	out, err := rewrite(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, specs, nil
+// AggVar is the tuple variable a resolved aggregate call reads: the
+// group's aggregate tuple, after variable 0 — the group key in a having,
+// the representative row in an action.
+const AggVar = 1
+
+// resolver maps one trigger's aggregate calls count/sum/avg/min/max(col)
+// to their slots in the group's aggregate tuple.
+type resolver struct {
+	schema *types.Schema // the source's; an aggregate names one of its columns
+	specs  []Spec
+	// frozen refuses a call that has no slot yet: a loaded action reads
+	// the aggregates its state already keeps.
+	frozen bool
+	// keyCols, for a having, are the group-by columns: its plain
+	// references must name one, and read it in the group key.
+	keyCols []int
 }
 
-// HavingEvaluator binds a rewritten having tree into the callback shape
-// Apply expects.
-func HavingEvaluator(rewritten expr.Node) func(groupKey, aggs types.Tuple) (bool, error) {
-	return func(groupKey, aggs types.Tuple) (bool, error) {
-		env := expr.MultiEnv{Tuples: []types.Tuple{groupKey, aggs}}
-		res, err := expr.EvalPredicate(rewritten, env)
-		if err != nil {
-			return false, err
+// resolve returns a copy of n with every aggregate call replaced by a
+// parameter reference to its slot (AggVar, spec index), adding the specs
+// it is the first to name. Constants, and an action's column references,
+// are shared with n.
+func (r *resolver) resolve(n expr.Node) (expr.Node, error) {
+	var err error
+	switch t := n.(type) {
+	case *expr.ColumnRef:
+		if r.keyCols == nil {
+			return t, nil
 		}
-		return res == expr.True, nil
-	}
-}
-
-// CollectActionSpecs walks an action's expressions, resolving aggregate
-// calls (count/sum/... over one column of the source schema) into
-// Specs, merged into the given list. It returns the extended list.
-func CollectActionSpecs(action parser.Action, schema *types.Schema, specs []Spec) ([]Spec, error) {
-	add := func(s Spec) {
-		for _, have := range specs {
-			if have == s {
-				return
-			}
+		pos := slices.Index(r.keyCols, t.ColIdx)
+		if pos < 0 {
+			return nil, fmt.Errorf("agg: column %q must appear in group by or inside an aggregate", t.Column)
 		}
-		specs = append(specs, s)
-	}
-	var scanNode func(n expr.Node) error
-	scanNode = func(n expr.Node) error {
-		fc, ok := n.(*expr.FuncCall)
-		if !ok {
-			switch t := n.(type) {
-			case *expr.Unary:
-				return scanNode(t.Child)
-			case *expr.Binary:
-				if err := scanNode(t.Left); err != nil {
-					return err
-				}
-				return scanNode(t.Right)
-			}
-			return nil
-		}
-		f, isAgg := FuncFromName(fc.Name)
+		return &expr.ColumnRef{Column: t.Column, VarIdx: 0, ColIdx: pos}, nil
+	case *expr.FuncCall:
+		f, isAgg := FuncFromName(t.Name)
 		if !isAgg {
-			for _, a := range fc.Args {
-				if err := scanNode(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if len(fc.Args) != 1 {
-			return fmt.Errorf("agg: %s expects one column argument", fc.Name)
-		}
-		ref, ok := fc.Args[0].(*expr.ColumnRef)
-		if !ok {
-			return fmt.Errorf("agg: %s expects a column argument", fc.Name)
-		}
-		col := schema.ColumnIndex(ref.Column)
-		if col < 0 {
-			return fmt.Errorf("agg: unknown column %q in aggregate", ref.Column)
-		}
-		add(Spec{Func: f, Col: col})
-		return nil
-	}
-	err := parser.WalkAction(action, scanNode)
-	if err != nil {
-		return nil, err
-	}
-	return specs, nil
-}
-
-// SubstituteAction clones an action with every aggregate call replaced
-// by its current value (specs/values as produced at firing time).
-func SubstituteAction(action parser.Action, schema *types.Schema, specs []Spec, values types.Tuple) (parser.Action, error) {
-	lookup := func(f Func, col int) (types.Value, bool) {
-		for i, s := range specs {
-			if s.Func == f && s.Col == col {
-				return values.Get(i), true
-			}
-		}
-		return types.Null(), false
-	}
-	var sub func(n expr.Node) (expr.Node, error)
-	sub = func(n expr.Node) (expr.Node, error) {
-		switch t := n.(type) {
-		case nil:
-			return nil, nil
-		case *expr.FuncCall:
-			if f, isAgg := FuncFromName(t.Name); isAgg && len(t.Args) == 1 {
-				if ref, ok := t.Args[0].(*expr.ColumnRef); ok {
-					col := schema.ColumnIndex(ref.Column)
-					if v, found := lookup(f, col); found {
-						return expr.Lit(v), nil
-					}
-					return nil, fmt.Errorf("agg: %s(%s) not maintained by this trigger", t.Name, ref.Column)
-				}
-			}
-			out := &expr.FuncCall{Name: t.Name}
-			for _, a := range t.Args {
-				ra, err := sub(a)
-				if err != nil {
+			out := &expr.FuncCall{Name: t.Name, Args: make([]expr.Node, len(t.Args))}
+			for i, a := range t.Args {
+				if out.Args[i], err = r.resolve(a); err != nil {
 					return nil, err
 				}
-				out.Args = append(out.Args, ra)
 			}
 			return out, nil
-		case *expr.Unary:
-			c, err := sub(t.Child)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Unary{Op: t.Op, Child: c}, nil
-		case *expr.Binary:
-			l, err := sub(t.Left)
-			if err != nil {
-				return nil, err
-			}
-			r, err := sub(t.Right)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Binary{Op: t.Op, Left: l, Right: r}, nil
-		default:
-			return expr.Clone(n), nil
 		}
+		if len(t.Args) != 1 {
+			return nil, fmt.Errorf("agg: %s expects one column argument", t.Name)
+		}
+		ref, ok := t.Args[0].(*expr.ColumnRef)
+		if !ok {
+			return nil, fmt.Errorf("agg: %s expects a column argument", t.Name)
+		}
+		col := r.schema.ColumnIndex(ref.Column)
+		if col < 0 {
+			return nil, fmt.Errorf("agg: unknown column %q in aggregate", ref.Column)
+		}
+		i := slices.Index(r.specs, Spec{Func: f, Col: col})
+		if i < 0 && r.frozen {
+			return nil, fmt.Errorf("agg: %s not maintained by this trigger", t)
+		}
+		if i < 0 {
+			i, r.specs = len(r.specs), append(r.specs, Spec{Func: f, Col: col})
+		}
+		return &expr.ColumnRef{Column: t.String(), VarIdx: AggVar, ColIdx: i, Param: true}, nil
+	case *expr.Unary:
+		out := *t
+		out.Child, err = r.resolve(t.Child)
+		return &out, err
+	case *expr.Binary:
+		out := *t
+		if out.Left, err = r.resolve(t.Left); err != nil {
+			return nil, err
+		}
+		out.Right, err = r.resolve(t.Right)
+		return &out, err
 	}
-	switch a := action.(type) {
+	return n, nil
+}
+
+// action returns a copy of act with its aggregate calls resolved.
+func (r *resolver) action(act parser.Action) (parser.Action, error) {
+	switch a := act.(type) {
 	case *parser.RaiseEvent:
-		out := &parser.RaiseEvent{Name: a.Name}
-		for _, arg := range a.Args {
-			s, err := sub(arg)
-			if err != nil {
+		out := &parser.RaiseEvent{Name: a.Name, Args: make([]expr.Node, len(a.Args))}
+		for i, arg := range a.Args {
+			var err error
+			if out.Args[i], err = r.resolve(arg); err != nil {
 				return nil, err
 			}
-			out.Args = append(out.Args, s)
 		}
 		return out, nil
 	case *parser.ExecSQL:
-		st, err := parser.MapStatement(a.Stmt, sub)
+		st, err := parser.MapStatement(a.Stmt, r.resolve)
 		if err != nil {
 			return nil, err
 		}
 		return &parser.ExecSQL{SQL: a.SQL, Stmt: st}, nil
-	default:
-		return action, nil
 	}
+	return act, nil
+}
+
+// Compile resolves an aggregate trigger's having condition — bound, its
+// source as variable 0 — and its action against the source's schema,
+// and returns the empty state that keeps every aggregate either reads,
+// with the having as the callback Apply takes. The action is only read:
+// each load of the trigger's description resolves its own copy
+// (State.ResolveAction).
+func Compile(having expr.Node, act parser.Action, groupCols []int, schema *types.Schema) (*State, func(groupKey, aggs types.Tuple) (bool, error), error) {
+	r := &resolver{schema: schema, keyCols: groupCols}
+	cond, err := r.resolve(having)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.keyCols = nil
+	if _, err := r.action(act); err != nil {
+		return nil, nil, err
+	}
+	h := &havingEnv{cond: cond}
+	h.env.Tuples = h.vars[:]
+	return NewState(groupCols, r.specs), h.holds, nil
+}
+
+// ResolveAction returns a copy of act whose aggregate calls read their
+// slots in the aggregate tuple a firing carries (AggVar). A call the
+// state does not keep is an error.
+func (st *State) ResolveAction(act parser.Action, schema *types.Schema) (parser.Action, error) {
+	r := &resolver{schema: schema, specs: st.Specs, frozen: true}
+	return r.action(act)
+}
+
+// havingEnv is a resolved having condition and the environment it is
+// judged in, reused so that judging allocates nothing: variable 0 is
+// the group key, variable 1 the aggregate tuple.
+type havingEnv struct {
+	cond expr.Node
+	mu   sync.Mutex
+	vars [2]types.Tuple
+	env  expr.MultiEnv
+}
+
+func (h *havingEnv) holds(groupKey, aggs types.Tuple) (bool, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.vars = [2]types.Tuple{groupKey, aggs}
+	res, err := expr.EvalPredicate(h.cond, &h.env)
+	h.vars = [2]types.Tuple{}
+	return res == expr.True, err
 }

@@ -3,6 +3,9 @@ package agg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"triggerman/internal/expr"
@@ -55,38 +58,123 @@ func TestFuncFromName(t *testing.T) {
 	}
 }
 
-func TestRewriteHaving(t *testing.T) {
-	n := bindSales(t, "count(amount) > 2 and region <> 'x'")
-	rewritten, specs, err := RewriteHaving(n, []int{0})
+// compile compiles a having over sales grouped by region, for a trigger
+// whose action reads no aggregate.
+func compile(t testing.TB, having expr.Node) (*State, func(groupKey, aggs types.Tuple) (bool, error)) {
+	t.Helper()
+	st, holds, err := Compile(having, &parser.RaiseEvent{Name: "E"}, []int{0}, salesSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 1 || specs[0].Func != Count || specs[0].Col != 1 {
+	return st, holds
+}
+
+func TestRewriteHaving(t *testing.T) {
+	st, ev := compile(t, bindSales(t, "count(amount) > 2 and region <> 'x'"))
+	if specs := st.Specs; len(specs) != 1 || specs[0].Func != Count || specs[0].Col != 1 {
 		t.Fatalf("specs = %v", specs)
 	}
-	// Evaluable with (groupKey, aggs).
-	ev := HavingEvaluator(rewritten)
-	ok, err := ev(types.Tuple{types.NewString("north")}, types.Tuple{types.NewInt(3)})
+	// Evaluable with (groupKey, aggs), and without allocating.
+	key, aggs := types.Tuple{types.NewString("north")}, types.Tuple{types.NewInt(3)}
+	ok, err := ev(key, aggs)
 	if err != nil || !ok {
 		t.Fatalf("eval = %v %v", ok, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { ev(key, aggs) }); n != 0 {
+		t.Errorf("judging a group allocates %.1f objects", n)
 	}
 	ok, _ = ev(types.Tuple{types.NewString("x")}, types.Tuple{types.NewInt(3)})
 	if ok {
 		t.Error("region <> 'x' should fail for group x")
 	}
 	// Duplicate aggregates are shared.
-	n2 := bindSales(t, "sum(amount) > 10 and sum(amount) < 100")
-	_, specs2, err := RewriteHaving(n2, []int{0})
-	if err != nil || len(specs2) != 1 {
-		t.Fatalf("dedup: %v %v", specs2, err)
+	if st, _ := compile(t, bindSales(t, "sum(amount) > 10 and sum(amount) < 100")); len(st.Specs) != 1 {
+		t.Fatalf("dedup: %v", st.Specs)
 	}
-	// Naked non-group column rejected.
-	if _, _, err := RewriteHaving(bindSales(t, "amount > 5"), []int{0}); err == nil {
-		t.Error("non-group column should be rejected")
+	for having, want := range map[string]string{
+		"amount > 5":          `column "amount" must appear in group by`,
+		"sum(amount * 2) > 5": "sum expects a column argument",
+		"max(amount, 1) > 5":  "max expects one column argument",
+	} {
+		_, _, err := Compile(bindSales(t, having), &parser.RaiseEvent{Name: "E"}, []int{0}, salesSchema)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("having %s: error %v, want %q", having, err, want)
+		}
 	}
-	// Aggregate over expression rejected (column only).
-	if _, _, err := RewriteHaving(bindSales(t, "sum(amount * 2) > 5"), []int{0}); err == nil {
-		t.Error("aggregate over expression should be rejected")
+}
+
+// The having keeps one environment for every call; callers judging
+// groups at once, each with its own key and aggregates, must each get
+// their own answer.
+func TestHavingConcurrentCalls(t *testing.T) {
+	_, ev := compile(t, bindSales(t, "count(amount) > 2 and region = 'a'"))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := types.Tuple{types.NewString([]string{"a", "b"}[g%2])}
+			for i := 0; i < 2000; i++ {
+				aggs := types.Tuple{types.NewInt(int64(i % 5))}
+				ok, err := ev(key, aggs)
+				if want := g%2 == 0 && i%5 > 2; err != nil || ok != want {
+					t.Errorf("goroutine %d, count %d: %v %v, want %v", g, i%5, ok, err, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// An action's aggregate calls join the having's specs when the trigger is
+// compiled, and a loaded action reads them by slot: the aggregate tuple
+// is variable AggVar, the representative row stays variable 0.
+func TestResolveAction(t *testing.T) {
+	act := func(text string) parser.Action {
+		st, err := parser.Parse("create trigger x from sales do " + text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.(*parser.CreateTrigger).Do
+	}
+	raise := act("raise event E(sales.region, abs(max(amount)) + count(region), sum(amount))")
+	st, _, err := Compile(bindSales(t, "sum(amount) > 10"), raise, []int{0}, salesSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Spec{{Sum, 1}, {Max, 1}, {Count, 0}}
+	if !slices.Equal(st.Specs, want) {
+		t.Fatalf("specs = %v, want %v", st.Specs, want)
+	}
+	before := raise.(*parser.RaiseEvent).Args[1].String()
+	loaded, err := st.ResolveAction(raise, salesSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := raise.(*parser.RaiseEvent).Args[1].String(); after != before {
+		t.Errorf("resolving changed the action it read: %s, was %s", after, before)
+	}
+	// No row: the arguments read only the aggregate tuple (sum, max, count).
+	env := expr.MultiEnv{Tuples: []types.Tuple{nil, {types.NewFloat(30), types.NewInt(-7), types.NewInt(4)}}}
+	var got []string
+	for _, arg := range loaded.(*parser.RaiseEvent).Args[1:] {
+		v, err := expr.EvalScalar(arg, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v.String())
+	}
+	if strings.Join(got, " ") != "11 30" {
+		t.Errorf("resolved arguments = %v, want [11 30]", got)
+	}
+	sql := act("execSQL 'update t set v = min(amount) where k = count(region)'")
+	if _, err := st.ResolveAction(sql, salesSchema); err == nil || !strings.Contains(err.Error(), "min(amount) not maintained") {
+		t.Errorf("a call the state does not keep: %v", err)
+	}
+	if _, _, err := Compile(bindSales(t, "count(region) > 1"), act("raise event E(sum(nosuch))"), []int{0}, salesSchema); err == nil ||
+		!strings.Contains(err.Error(), `unknown column "nosuch" in aggregate`) {
+		t.Errorf("an aggregate over an unknown column: %v", err)
 	}
 }
 
@@ -101,10 +189,7 @@ func applyInsert(t *testing.T, st *State, having func(a, b types.Tuple) (bool, e
 }
 
 func TestCountTransitionFiring(t *testing.T) {
-	n := bindSales(t, "count(amount) > 2")
-	rewritten, specs, _ := RewriteHaving(n, []int{0})
-	st := NewState([]int{0}, specs)
-	ev := HavingEvaluator(rewritten)
+	st, ev := compile(t, bindSales(t, "count(amount) > 2"))
 
 	var total int
 	for i := 0; i < 5; i++ {
@@ -138,16 +223,10 @@ func TestCountTransitionFiring(t *testing.T) {
 }
 
 func TestSumAvgMinMax(t *testing.T) {
-	n := bindSales(t, "sum(amount) >= 100 and avg(amount) >= 25 and max(amount) >= 50 and min(amount) > 0")
-	rewritten, specs, err := RewriteHaving(n, []int{0})
-	if err != nil {
-		t.Fatal(err)
+	st, ev := compile(t, bindSales(t, "sum(amount) >= 100 and avg(amount) >= 25 and max(amount) >= 50 and min(amount) > 0"))
+	if len(st.Specs) != 4 {
+		t.Fatalf("specs = %v", st.Specs)
 	}
-	if len(specs) != 4 {
-		t.Fatalf("specs = %v", specs)
-	}
-	st := NewState([]int{0}, specs)
-	ev := HavingEvaluator(rewritten)
 
 	applyInsert(t, st, ev, saleRow("n", 30, "a"))
 	applyInsert(t, st, ev, saleRow("n", 20, "a"))
@@ -176,10 +255,7 @@ func TestSumAvgMinMax(t *testing.T) {
 }
 
 func TestUpdateMovesBetweenGroups(t *testing.T) {
-	n := bindSales(t, "count(amount) > 1")
-	rewritten, specs, _ := RewriteHaving(n, []int{0})
-	st := NewState([]int{0}, specs)
-	ev := HavingEvaluator(rewritten)
+	st, ev := compile(t, bindSales(t, "count(amount) > 1"))
 
 	applyInsert(t, st, ev, saleRow("a", 1, "r"))
 	applyInsert(t, st, ev, saleRow("b", 1, "r"))
@@ -201,10 +277,8 @@ func TestUpdateMovesBetweenGroups(t *testing.T) {
 // group it leaves before the group it joins — every time, so the
 // token's actions run in one order.
 func TestUpdateFiresLeftGroupFirst(t *testing.T) {
-	rewritten, specs, _ := RewriteHaving(bindSales(t, "count(amount) < 2"), []int{0})
-	ev := HavingEvaluator(rewritten)
 	for i := 0; i < 200; i++ {
-		st := NewState([]int{0}, specs)
+		st, ev := compile(t, bindSales(t, "count(amount) < 2"))
 		applyInsert(t, st, ev, saleRow("a", 1, "r"))
 		applyInsert(t, st, ev, saleRow("a", 2, "r")) // a: count 2, false
 		// a drops to 1 and b is born at 1: both cross to true.
@@ -220,10 +294,7 @@ func TestUpdateFiresLeftGroupFirst(t *testing.T) {
 
 func TestSelectionFiltering(t *testing.T) {
 	// Tokens whose image fails the selection do not contribute.
-	n := bindSales(t, "count(amount) > 1")
-	rewritten, specs, _ := RewriteHaving(n, []int{0})
-	st := NewState([]int{0}, specs)
-	ev := HavingEvaluator(rewritten)
+	st, ev := compile(t, bindSales(t, "count(amount) > 1"))
 	if fires, _ := st.Apply(OpInsert, nil, saleRow("n", 1, "r"), false, false, ev); len(fires) != 0 {
 		t.Fatal("non-matching insert should be a no-op")
 	}
@@ -236,10 +307,7 @@ func TestRandomizedAgainstRecompute(t *testing.T) {
 	// Incremental aggregates equal a from-scratch recomputation after
 	// every step; firing happens exactly on false->true transitions of
 	// the recomputed condition.
-	n := bindSales(t, "sum(amount) > 100 and count(amount) > 2")
-	rewritten, specs, _ := RewriteHaving(n, []int{0})
-	st := NewState([]int{0}, specs)
-	ev := HavingEvaluator(rewritten)
+	st, ev := compile(t, bindSales(t, "sum(amount) > 100 and count(amount) > 2"))
 
 	rng := rand.New(rand.NewSource(13))
 	regions := []string{"a", "b", "c"}
@@ -319,14 +387,9 @@ func BenchmarkIncrementalVsRecompute(b *testing.B) {
 	n := expr.Cmp(expr.OpGt,
 		&expr.FuncCall{Name: "sum", Args: []expr.Node{&expr.ColumnRef{Column: "amount", VarIdx: 0, ColIdx: 1}}},
 		expr.Int(1_000_000))
-	rewritten, specs, err := RewriteHaving(n, []int{0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := HavingEvaluator(rewritten)
 	for _, rows := range []int{100, 10000} {
 		b.Run("incremental/group="+itoa(rows), func(b *testing.B) {
-			st := NewState([]int{0}, specs)
+			st, ev := compile(b, n)
 			for i := 0; i < rows; i++ {
 				st.Apply(OpInsert, nil, saleRow("g", int64(i), "r"), false, true, ev)
 			}

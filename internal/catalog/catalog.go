@@ -61,6 +61,12 @@ type TriggerInfo struct {
 
 	rid  storage.RID
 	regs []predReg
+	// What primeTrigger builds for the trigger that every load of its
+	// description shares: the A-TREAT or Gator network of a
+	// multi-variable trigger, the state of an aggregate one.
+	network *discrim.Network
+	gator   *discrim.GatorNetwork
+	agg     *AggTrigger
 }
 
 type predReg struct {
@@ -85,8 +91,10 @@ type LoadedTrigger struct {
 	// networks (Config.UseGator).
 	Gator *discrim.GatorNetwork
 	// Agg is non-nil for group-by/having triggers: resident incremental
-	// aggregate state plus the rewritten having condition.
-	Agg    *AggTrigger
+	// aggregate state plus the compiled having condition.
+	Agg *AggTrigger
+	// Action is compiled: its references read their slots in a firing's
+	// binding, an aggregate trigger's aggregate calls included.
 	Action parser.Action
 }
 
@@ -94,10 +102,6 @@ type LoadedTrigger struct {
 type AggTrigger struct {
 	State  *agg.State
 	Having func(groupKey, aggs types.Tuple) (bool, error)
-	Specs  []agg.Spec
-	// Schema is the source schema, needed to substitute aggregate calls
-	// in the action at firing time.
-	Schema *types.Schema
 }
 
 // Catalog owns the trigger system state.
@@ -112,10 +116,7 @@ type Catalog struct {
 	triggers map[uint64]*TriggerInfo
 	byName   map[string]uint64
 	sets     map[string]*TriggerSet
-	networks map[uint64]*discrim.Network      // resident multi-var networks
-	gators   map[uint64]*discrim.GatorNetwork // resident Gator networks
-	aggsMap  map[uint64]*AggTrigger           // resident aggregate states
-	sigRows  map[uint64]storage.RID           // expression_signature row per signature
+	sigRows  map[uint64]storage.RID // expression_signature row per signature
 	useGator bool
 
 	nextTriggerID uint64
@@ -153,9 +154,6 @@ func New(cfg Config) (*Catalog, error) {
 		triggers: make(map[uint64]*TriggerInfo),
 		byName:   make(map[string]uint64),
 		sets:     make(map[string]*TriggerSet),
-		networks: make(map[uint64]*discrim.Network),
-		gators:   make(map[uint64]*discrim.GatorNetwork),
-		aggsMap:  make(map[uint64]*AggTrigger),
 		sigRows:  make(map[uint64]storage.RID),
 		useGator: cfg.UseGator,
 		now:      func() string { return time.Now().UTC().Format(time.RFC3339) },
@@ -618,32 +616,26 @@ func (c *Catalog) loadTrigger(id uint64) (interface{}, error) {
 	}
 	c.mu.RLock()
 	info := c.triggers[id]
-	network := c.networks[id]
-	gator := c.gators[id]
-	aggState := c.aggsMap[id]
 	c.mu.RUnlock()
 	if info == nil {
 		return nil, fmt.Errorf("catalog: trigger %d dropped", id)
 	}
-	lt, err := c.buildLoaded(info, ct)
-	if err != nil {
-		return nil, err
-	}
-	lt.Network = network
-	lt.Gator = gator
-	lt.Agg = aggState
-	return lt, nil
+	return c.buildLoaded(info, ct)
 }
 
 // buildLoaded resolves sources/schemas and the action for a parsed
 // trigger, and compiles the action: its references to the tuple
-// variables are resolved to slots here, once per load, while the tree is
-// still private to this call — firings then share it read-only.
+// variables, and an aggregate trigger's aggregate calls, are resolved to
+// slots here, once per load, while the tree is still private to this
+// call — firings then share it read-only.
 func (c *Catalog) buildLoaded(info *TriggerInfo, ct *parser.CreateTrigger) (*LoadedTrigger, error) {
 	lt := &LoadedTrigger{
 		Info:     info,
 		Stmt:     ct,
 		VarIndex: ct.VarIndex(),
+		Network:  info.network,
+		Gator:    info.gator,
+		Agg:      info.agg,
 		Action:   ct.Do,
 	}
 	for _, f := range ct.From {
@@ -655,5 +647,11 @@ func (c *Catalog) buildLoaded(info *TriggerInfo, ct *parser.CreateTrigger) (*Loa
 		lt.Schemas = append(lt.Schemas, src.Schema)
 	}
 	exec.Compile(lt.Action, lt.VarIndex, lt.Schemas)
+	if lt.Agg != nil {
+		var err error
+		if lt.Action, err = lt.Agg.State.ResolveAction(lt.Action, lt.Schemas[0]); err != nil {
+			return nil, err
+		}
+	}
 	return lt, nil
 }

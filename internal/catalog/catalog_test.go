@@ -418,8 +418,8 @@ func TestAggregateTriggerRecovery(t *testing.T) {
 	if lt.Agg.State.Groups() != 0 {
 		t.Errorf("recovered groups = %d", lt.Agg.State.Groups())
 	}
-	if len(lt.Agg.Specs) != 1 {
-		t.Errorf("specs = %v", lt.Agg.Specs)
+	if len(lt.Agg.State.Specs) != 1 {
+		t.Errorf("specs = %v", lt.Agg.State.Specs)
 	}
 }
 

@@ -94,10 +94,11 @@ func (s NetworkShape) Nodes() int { return s.Vars + s.Betas }
 func (c *Catalog) NetworkShape(id uint64) (NetworkShape, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if _, ok := c.triggers[id]; !ok {
+	t, ok := c.triggers[id]
+	if !ok {
 		return NetworkShape{}, false
 	}
-	if g, ok := c.gators[id]; ok {
+	if g := t.gator; g != nil {
 		s := NetworkShape{Kind: "gator", Vars: len(g.Vars)}
 		for i := range g.Vars {
 			s.AlphaTuples += g.MemorySize(i)
@@ -109,7 +110,7 @@ func (c *Catalog) NetworkShape(id uint64) (NetworkShape, bool) {
 		}
 		return s, true
 	}
-	if n, ok := c.networks[id]; ok {
+	if n := t.network; n != nil {
 		s := NetworkShape{Kind: "atreat", Vars: len(n.Vars)}
 		for i := range n.Vars {
 			s.AlphaTuples += n.MemorySize(i)

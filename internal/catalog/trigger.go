@@ -70,9 +70,6 @@ func (c *Catalog) CreateTriggerStmt(ct *parser.CreateTrigger) (*TriggerInfo, err
 		Created: c.now(),
 	}
 	if err := c.primeTrigger(info, ct); err != nil {
-		delete(c.networks, info.ID)
-		delete(c.gators, info.ID)
-		delete(c.aggsMap, info.ID)
 		c.nextTriggerID--
 		return nil, err
 	}
@@ -217,9 +214,9 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 		}
 	}
 
-	// Aggregate (group by / having) triggers: rewrite the having clause,
-	// collect the aggregates it and the action need, and keep resident
-	// incremental state. The when clause remains the selection filter.
+	// Aggregate (group by / having) triggers: resolve the aggregates the
+	// having clause and the action read, and keep resident incremental
+	// state. The when clause remains the selection filter.
 	isAgg := len(ct.GroupBy) > 0
 	info.IsAggregate = isAgg
 	if isAgg {
@@ -239,26 +236,14 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 				return schemas[vi].ColumnIndex(col)
 			},
 		}
-		// Aggregate calls wrap column refs; bind refs first, ignoring
-		// binder errors for arguments inside aggregate functions is not
-		// needed because they are plain columns of the source.
 		if err := hb.Bind(having); err != nil {
 			return fmt.Errorf("catalog: having: %w", err)
 		}
-		rewritten, specs, err := agg.RewriteHaving(having, groupCols)
+		st, holds, err := agg.Compile(having, ct.Do, groupCols, schemas[0])
 		if err != nil {
 			return fmt.Errorf("catalog: %w", err)
 		}
-		specs, err = agg.CollectActionSpecs(ct.Do, schemas[0], specs)
-		if err != nil {
-			return fmt.Errorf("catalog: %w", err)
-		}
-		c.aggsMap[info.ID] = &AggTrigger{
-			State:  agg.NewState(groupCols, specs),
-			Having: agg.HavingEvaluator(rewritten),
-			Specs:  specs,
-			Schema: schemas[0],
-		}
+		info.agg = &AggTrigger{State: st, Having: holds}
 	}
 
 	multiVar := len(ct.From) > 1
@@ -273,17 +258,12 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 			}
 		}
 		if c.useGator {
-			g, err := discrim.NewGreedyGator(info.ID, vars, edges, catchAll, nil)
-			if err != nil {
-				return err
-			}
-			c.gators[info.ID] = g
+			info.gator, err = discrim.NewGreedyGator(info.ID, vars, edges, catchAll, nil)
 		} else {
-			net, err := discrim.NewNetwork(info.ID, vars, edges, catchAll)
-			if err != nil {
-				return err
-			}
-			c.networks[info.ID] = net
+			info.network, err = discrim.NewNetwork(info.ID, vars, edges, catchAll)
+		}
+		if err != nil {
+			return err
 		}
 	} else if len(catchAll.Clauses) > 0 {
 		// Single-variable triggers fold trivial conjuncts into the
@@ -298,6 +278,11 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 	// Register one selection predicate per tuple variable.
 	for vi := range ct.From {
 		fire := predindex.EventMask{AnyOp: true}
+		if isAgg {
+			// Without an on clause, any operation that turns a group's
+			// having true fires: a delete can, by decrementing.
+			fire = predindex.EventMask{AllOps: true}
+		}
 		if vi == eventVar {
 			fire, err = maskFromEvent(ct.On, schemas[vi])
 			if err != nil {
@@ -305,8 +290,9 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 			}
 		}
 		regMask := fire
-		if multiVar {
-			// Alpha memories must see every event on the source.
+		if multiVar || isAgg {
+			// Alpha memories and aggregate state must see every event on
+			// the source.
 			regMask = predindex.EventMask{AllOps: true}
 		}
 		sig, consts, err := expr.ExtractSignature(normalizeVarIdx(selections[vi], vi))
@@ -318,11 +304,6 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 			return err
 		}
 		c.nextExprID++
-		regMask2 := regMask
-		if isAgg {
-			// Aggregate state needs every operation (deletes decrement).
-			regMask2 = predindex.EventMask{AllOps: true}
-		}
 		ref := predindex.Ref{
 			ExprID:    c.nextExprID,
 			TriggerID: info.ID,
@@ -333,7 +314,7 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 			Gator:     multiVar && c.useGator,
 			Aggregate: isAgg,
 		}
-		entry, err := c.pidx.AddPredicate(sources[vi].ID, regMask2, sig, consts, ref)
+		entry, err := c.pidx.AddPredicate(sources[vi].ID, regMask, sig, consts, ref)
 		if err != nil {
 			c.unregisterLocked(info)
 			return err
@@ -485,9 +466,6 @@ func (c *Catalog) DropTrigger(name string) error {
 	}
 	delete(c.triggers, id)
 	delete(c.byName, key)
-	delete(c.networks, id)
-	delete(c.gators, id)
-	delete(c.aggsMap, id)
 	if err := c.tcache.Invalidate(id); err != nil {
 		return err
 	}

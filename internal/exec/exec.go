@@ -13,7 +13,10 @@
 // the paper's implementation rewrites the action's text per firing. The
 // meaning is the macro substitution's: the same values reach the same
 // places, and a reference that cannot be resolved fails the firing with
-// the same error. SubstituteStatement still produces the rewritten
+// the same error. An aggregate trigger's action reads its aggregate
+// values the same way: internal/agg resolves each aggregate call, at the
+// same load, to a slot in the aggregate tuple a firing carries
+// (Binding.Aggregates). SubstituteStatement still produces the rewritten
 // statement for callers that want to see or keep one.
 //
 // execSQL actions run against the embedded mini-SQL database; raise
@@ -41,6 +44,10 @@ type Binding struct {
 	Tuples []types.Tuple
 	// Olds holds pre-update images (usually only the seed variable's).
 	Olds []types.Tuple
+	// Aggregates is an aggregate trigger's aggregate tuple at firing,
+	// which its resolved aggregate calls read as the variable after the
+	// last (agg.AggVar).
+	Aggregates types.Tuple
 }
 
 // Resolve produces the value a column reference denotes under the
@@ -58,8 +65,11 @@ func (b Binding) Resolve(ref *expr.ColumnRef, schemaOf func(varIdx int) *types.S
 // firing does not carry reads as NULLs.
 func (b Binding) tupleFor(vi int, old bool) types.Tuple {
 	tuples := b.Tuples
-	if old {
+	switch {
+	case old:
 		tuples = b.Olds
+	case vi == len(tuples):
+		return b.Aggregates
 	}
 	if vi < 0 || vi >= len(tuples) {
 		return nil

@@ -389,12 +389,12 @@ func (w *work) maintain(ms []predindex.Match, removal bool) {
 func (w *work) applyAggregates(gone, come []predindex.Match) {
 	for i := range come {
 		if m := &come[i]; m.Aggregate {
-			w.applyAggregate(m.TriggerID, hasAggregate(gone, m.TriggerID), true)
+			w.applyAggregate(m, hasAggregate(gone, m.TriggerID), true)
 		}
 	}
 	for i := range gone {
 		if m := &gone[i]; m.Aggregate && !hasAggregate(come, m.TriggerID) {
-			w.applyAggregate(m.TriggerID, true, false)
+			w.applyAggregate(m, true, false)
 		}
 	}
 }
@@ -411,9 +411,12 @@ func hasAggregate(ms []predindex.Match, id uint64) bool {
 
 // applyAggregate updates one trigger's incremental aggregates with the
 // token images that passed its selection; having-condition transitions
-// fire the action with aggregate values substituted in.
-func (w *work) applyAggregate(id uint64, oldMatch, newMatch bool) {
-	s, tok := w.s, w.tok
+// fire the action, which reads the representative row as variable 0 and
+// the aggregate values by slot. The state follows every operation, but
+// only a token the trigger's on clause accepts fires it: a transition
+// the on clause refuses is spent without a firing.
+func (w *work) applyAggregate(m *predindex.Match, oldMatch, newMatch bool) {
+	s, tok, id := w.s, w.tok, m.TriggerID
 	if !s.cat.IsFireable(id) {
 		// Like the paper's isEnabled semantics, disabled triggers are
 		// inert: they do not maintain state either.
@@ -442,15 +445,13 @@ func (w *work) applyAggregate(id uint64, oldMatch, newMatch bool) {
 		s.noteErrorAt("aggregate", id, err)
 		return
 	}
+	if !m.FireMask.Matches(tok) {
+		return
+	}
 	for _, f := range fires {
 		s.cTokensMatch.Inc()
-		action, err := agg.SubstituteAction(lt.Action, lt.Agg.Schema, lt.Agg.Specs, f.Aggregates)
-		if err != nil {
-			s.noteErrorAt("aggregate", id, err)
-			continue
-		}
 		w.one[0] = f.Representative
-		if err := w.runCombo(lt, action, w.one[:], 0); err != nil {
+		if err := w.runCombo(lt, w.one[:], f.Aggregates, 0); err != nil {
 			s.noteErrorAt("action", id, err)
 		}
 	}
@@ -460,7 +461,7 @@ func (w *work) applyAggregate(id uint64, oldMatch, newMatch bool) {
 // trigger's action for one satisfying combination. The first failure
 // stops the enumeration and is left in w.ferr.
 func (w *work) onCombo(c discrim.Combo) bool {
-	w.ferr = w.runCombo(w.lt, w.lt.Action, c.Tuples, c.SeedVar)
+	w.ferr = w.runCombo(w.lt, c.Tuples, nil, c.SeedVar)
 	return w.ferr == nil
 }
 
@@ -481,7 +482,7 @@ func (w *work) fire() error {
 		// Single-variable trigger: the selection match is the whole
 		// condition; fire directly with the effective tuple.
 		w.one[0] = w.tok.Effective()
-		return w.runCombo(lt, lt.Action, w.one[:], 0)
+		return w.runCombo(lt, w.one[:], nil, 0)
 	}
 	w.lt, w.ferr = lt, nil
 	if err := lt.Network.Enumerate(int(m.NextNode), w.tok, w.comboFn); err != nil {
@@ -490,24 +491,25 @@ func (w *work) fire() error {
 	return w.ferr
 }
 
-// runCombo executes a trigger's action for one satisfying combination,
+// runCombo executes a trigger's action for one satisfying combination —
+// with an aggregate trigger's aggregate tuple, which the firing keeps —
 // inline or as a rule-action task per Options.ActionTasks. The firing
 // gets a work of its own, holding its own copy of the combination: as a
 // task it outlives this token's step and everything in w.
-func (w *work) runCombo(lt *catalog.LoadedTrigger, action parser.Action, tuples []types.Tuple, seed int) error {
+func (w *work) runCombo(lt *catalog.LoadedTrigger, tuples []types.Tuple, aggs types.Tuple, seed int) error {
 	s := w.s
 	if s.FireHook != nil {
 		s.FireHook(lt.Info.ID, slices.Clone(tuples))
 	}
 	aw := s.getWork()
 	aw.tok, aw.slot, aw.sp, aw.firing = w.tok, w.slot, w.sp, true
-	aw.id, aw.action, aw.schemas = lt.Info.ID, action, lt.Schemas
+	aw.lt, aw.id = lt, lt.Info.ID
 	aw.tuples = append(aw.tuples[:0], tuples...)
 	aw.olds = append(aw.olds[:0], make([]types.Tuple, len(tuples))...)
 	if seed >= 0 && seed < len(aw.olds) {
 		aw.olds[seed] = w.tok.Old
 	}
-	aw.env.Binding = exec.Binding{VarIndex: lt.VarIndex, Tuples: aw.tuples, Olds: aw.olds}
+	aw.env.Binding = exec.Binding{VarIndex: lt.VarIndex, Tuples: aw.tuples, Olds: aw.olds, Aggregates: aggs}
 	if s.pool == nil || !s.opts.ActionTasks {
 		// Task type 4: the token's actions run inside its own task.
 		aw.runAction()

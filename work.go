@@ -9,7 +9,6 @@ import (
 	"triggerman/internal/datasource"
 	"triggerman/internal/discrim"
 	"triggerman/internal/exec"
-	"triggerman/internal/parser"
 	"triggerman/internal/predindex"
 	"triggerman/internal/trace"
 	"triggerman/internal/types"
@@ -54,7 +53,8 @@ type work struct {
 
 	// route's state: the probe's matches, the index of the one being
 	// fired, and for a network trigger the pinned description onCombo
-	// fires and the first failure it met.
+	// fires and the first failure it met. A firing's lt is the trigger
+	// whose compiled action it runs.
 	probe predindex.Buffer
 	cur   int
 	lt    *catalog.LoadedTrigger
@@ -62,13 +62,10 @@ type work struct {
 	one   [1]types.Tuple // a single-variable firing's combination
 
 	// A firing (runCombo sets firing and fills these; otherwise the work
-	// is a token's or a partition's step): the trigger, its action and
-	// schemas, and the matched tuples the action's references read
-	// through env.
+	// is a token's or a partition's step): the trigger's id, and the
+	// matched tuples the action's references read through env.
 	firing       bool
 	id           uint64
-	action       parser.Action
-	schemas      []*types.Schema
 	tuples, olds []types.Tuple
 	env          exec.Env
 	exe          *exec.Executor
@@ -114,7 +111,7 @@ func (s *System) putWork(w *work) {
 	}
 	w.tok, w.sp, w.lt, w.ferr, w.one[0] = datasource.Token{}, nil, nil, nil, nil
 	w.probe.Reset()
-	w.firing, w.id, w.action, w.schemas, w.exe = false, 0, nil, nil, nil
+	w.firing, w.id, w.exe = false, 0, nil
 	clear(w.tuples)
 	clear(w.olds)
 	w.tuples, w.olds = w.tuples[:0], w.olds[:0]
@@ -142,9 +139,9 @@ func (w *work) own() *work {
 	if !w.firing && w.cur < len(w.probe.Matches) {
 		c.probe.Matches = append(c.probe.Matches, w.probe.Matches[w.cur])
 	}
-	c.firing, c.id, c.action, c.schemas, c.exe = w.firing, w.id, w.action, w.schemas, w.exe
+	c.lt, c.firing, c.id, c.exe = w.lt, w.firing, w.id, w.exe
 	c.tuples, c.olds = append(c.tuples, w.tuples...), append(c.olds, w.olds...)
-	c.env.Binding = exec.Binding{VarIndex: w.env.VarIndex, Tuples: c.tuples, Olds: c.olds}
+	c.env.Binding = exec.Binding{VarIndex: w.env.VarIndex, Tuples: c.tuples, Olds: c.olds, Aggregates: w.env.Aggregates}
 	return c
 }
 
@@ -185,14 +182,14 @@ func (w *work) done(error) {
 // exec is one attempt at the firing's action (w.execFn).
 func (w *work) exec() error {
 	w = w.own()
-	return w.exe.Run(w.id, w.action, &w.env)
+	return w.exe.Run(w.id, w.lt.Action, &w.env)
 }
 
 func (w *work) schemaOf(vi int) *types.Schema {
-	if vi < 0 || vi >= len(w.schemas) {
+	if vi < 0 || vi >= len(w.lt.Schemas) {
 		return nil
 	}
-	return w.schemas[vi]
+	return w.lt.Schemas[vi]
 }
 
 // observe stamps event delivery inside a traced firing on its span.
