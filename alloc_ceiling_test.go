@@ -320,42 +320,52 @@ func networkRows(t *testing.T) []allocRow {
 	lonely := datasource.Token{Op: datasource.OpInsert, New: houseRow(3, "h", 99)}
 	rep := repRow(99, 3)
 	hashed := types.Tuple{types.NewString("ann"), types.NewInt(10), types.NewFloat(-0.5)}
+	var sc discrim.Scratch
+	// max(v) grouped by g, over one group of 20 distinct values; mid falls
+	// between two of them.
+	maxOf := agg.NewState([]int{0}, []agg.Spec{{Func: agg.Max, Col: 1}})
+	never := func(types.Tuple, types.Tuple) (bool, error) { return false, nil }
+	for i := int64(0); i < 20; i++ {
+		maxOf.Apply(agg.OpInsert, nil, types.Tuple{types.NewString("g"), types.NewInt(2 * i)}, false, true, never)
+	}
+	mid := types.Tuple{types.NewString("g"), types.NewInt(21)}
 	return []allocRow{{
 		stage: "Value.Hash+Tuple.Hash", ceiling: 0,
 		call: func() { hashSink = hashed.Hash() ^ hashed[0].Hash() },
 	}, {
-		stage: "A-TREAT AddTuple+RemoveTuple", ceiling: 3,
-		what: "the memory's copy of the row, and the identity and index buckets it opens",
+		stage: "A-TREAT AddTuple+RemoveTuple", ceiling: 0,
+		what: "nothing: the row is copied into a freed slot's own tuple, and its chains are resident",
 		call: func() {
 			atreat.Network.AddTuple(2, rep)
 			atreat.Network.RemoveTuple(2, rep)
 		},
 	}, {
-		stage: "A-TREAT Enumerate, no join partner", ceiling: 2,
-		what: "the enumeration's state and its combination buffer",
+		stage: "A-TREAT Enumerate, no join partner", ceiling: 0,
+		what: "nothing: the enumeration's state and combination are the caller's Scratch",
 		call: func() {
-			atreat.Network.Enumerate(1, lonely, count)
+			atreat.Network.Enumerate(&sc, 1, lonely, count)
 			want(0)
 		},
 	}, {
-		stage: "A-TREAT Enumerate, 8 combinations", ceiling: 2,
-		what: "the same two: every combination reuses the buffer",
+		stage: "A-TREAT Enumerate, 8 combinations", ceiling: 0,
+		what: "nothing: every combination reuses the Scratch",
 		call: func() {
-			atreat.Network.Enumerate(1, ins, count)
+			atreat.Network.Enumerate(&sc, 1, ins, count)
 			want(8)
 		},
 	}, {
-		stage: "A-TREAT NotifyToken insert+delete", ceiling: 6,
-		what: "the row's copy and the identity bucket it opens, and each token's enumeration",
+		stage: "A-TREAT NotifyToken insert+delete", ceiling: 0,
+		what: "nothing: the row takes a freed slot, and each token's enumeration a pooled Scratch",
 		call: func() {
 			atreat.Network.NotifyToken(1, ins, count)
 			atreat.Network.NotifyToken(1, del, count)
 			want(16)
 		},
 	}, {
-		stage: "Gator NotifyToken insert+delete, catalog's order", ceiling: 39,
-		what: "the row's copy and bucket, the insert's scratch, 8 root partials (each a struct and two slices) " +
-			"and the serial bucket they open, the new-partial list's growth, and the retraction's environment",
+		stage: "Gator NotifyToken insert+delete, catalog's order", ceiling: 38,
+		what: "the insert's state and its three per-variable slices, 8 root partials (each a struct and " +
+			"two slices; their rows are the seed's and the beta's below, so none copies a slot), the " +
+			"growth of the new and the retracted partial lists, and the retraction's environment",
 		call: func() {
 			gator.Gator.NotifyToken(1, ins, count)
 			gator.Gator.NotifyToken(1, del, count)
@@ -367,6 +377,13 @@ func networkRows(t *testing.T) []allocRow {
 		call: func() {
 			aggs.Agg.State.Apply(agg.OpInsert, nil, house, false, true, aggs.Agg.Having)
 			aggs.Agg.State.Apply(agg.OpDelete, house, nil, true, false, aggs.Agg.Having)
+		},
+	}, {
+		stage: "State.Apply insert+delete, max over 20 rows", ceiling: 0,
+		what: "nothing: the value goes into, and out of, the middle of the group's sorted multiset in place",
+		call: func() {
+			maxOf.Apply(agg.OpInsert, nil, mid, false, true, never)
+			maxOf.Apply(agg.OpDelete, mid, nil, true, false, never)
 		},
 	}}
 }

@@ -99,17 +99,38 @@ func (s Spec) String() string { return fmt.Sprintf("%s(#%d)", s.Func, s.Col) }
 type groupState struct {
 	key   types.Tuple
 	count int64
-	sums  []float64 // per numeric spec (sum/avg)
-	// multisets per min/max spec: value hash -> (value, count) entries
-	sets []map[uint64][]msEntry
+	sums  []float64  // per numeric spec (sum/avg)
+	sets  []multiset // per min/max spec
 	// armed reports whether the having condition was false after the
 	// last evaluation (so the next true fires); a new group is armed.
 	armed bool
 }
 
+// multiset is the values a min/max aggregate has seen, each with its
+// count, sorted by types.Compare: min and max are its ends, and a row
+// joining or leaving moves one count, or inserts or deletes one entry in
+// place, so once it has grown it allocates nothing. Values Compare calls
+// equal (int 2 and float 2.0) share the entry of the first to arrive.
+type multiset []msEntry
+
 type msEntry struct {
 	val types.Value
 	n   int
+}
+
+// add counts v in (sign +1) or out (sign -1) of the multiset.
+func (ms *multiset) add(v types.Value, sign int) {
+	i, found := slices.BinarySearchFunc(*ms, v, func(e msEntry, v types.Value) int { return types.Compare(e.val, v) })
+	switch {
+	case found:
+	case sign < 0: // a value it never held: nothing to take out
+		return
+	default:
+		*ms = slices.Insert(*ms, i, msEntry{val: v})
+	}
+	if (*ms)[i].n += sign; (*ms)[i].n <= 0 {
+		*ms = slices.Delete(*ms, i, i+1)
+	}
 }
 
 // State maintains every group of one aggregate trigger.
@@ -156,16 +177,11 @@ func (st *State) group(tu types.Tuple) *groupState {
 	g := &groupState{
 		key:   make(types.Tuple, len(st.GroupCols)),
 		sums:  make([]float64, len(st.Specs)),
-		sets:  make([]map[uint64][]msEntry, len(st.Specs)),
+		sets:  make([]multiset, len(st.Specs)),
 		armed: true,
 	}
 	for i, c := range st.GroupCols {
 		g.key[i] = tu.Get(c)
-	}
-	for i, s := range st.Specs {
-		if s.Func == Min || s.Func == Max {
-			g.sets[i] = make(map[uint64][]msEntry)
-		}
 	}
 	st.groups[h] = append(st.groups[h], g)
 	st.live++
@@ -191,23 +207,8 @@ func (st *State) apply(g *groupState, tu types.Tuple, sign int64) {
 				g.sums[i] += float64(sign) * f
 			}
 		case Min, Max:
-			v := tu.Get(s.Col)
-			if v.IsNull() {
-				continue
-			}
-			h := v.Hash()
-			b := g.sets[i][h]
-			e := slices.IndexFunc(b, func(e msEntry) bool { return types.Equal(e.val, v) })
-			if e < 0 {
-				b, e = append(b, msEntry{val: v}), len(b)
-			}
-			if b[e].n += int(sign); b[e].n <= 0 {
-				b = slices.Delete(b, e, e+1)
-			}
-			if len(b) > 0 {
-				g.sets[i][h] = b
-			} else {
-				delete(g.sets[i], h)
+			if v := tu.Get(s.Col); !v.IsNull() {
+				g.sets[i].add(v, int(sign))
 			}
 		}
 	}
@@ -229,16 +230,13 @@ func (st *State) values(g *groupState) types.Tuple {
 				out[i] = types.Null()
 			}
 		case Min, Max:
-			var best types.Value
-			first := true
-			for _, b := range g.sets[i] {
-				for _, e := range b {
-					if c := types.Compare(e.val, best); first || (s.Func == Min && c < 0) || (s.Func == Max && c > 0) {
-						best, first = e.val, false
-					}
+			out[i] = types.Null() // an empty multiset's
+			if ms := g.sets[i]; len(ms) > 0 {
+				out[i] = ms[0].val
+				if s.Func == Max {
+					out[i] = ms[len(ms)-1].val
 				}
 			}
-			out[i] = best // NULL when the multiset is empty
 		}
 	}
 	return out

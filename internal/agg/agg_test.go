@@ -380,6 +380,57 @@ func TestRandomizedAgainstRecompute(t *testing.T) {
 	}
 }
 
+// TestMinMaxAgainstRecompute drives random insert and delete histories
+// through min and max — duplicate values, NULLs, and ints and floats
+// that compare equal (2 and 2.0) — and after every step holds each
+// judged group's min and max to a scan of the values its rows hold.
+func TestMinMaxAgainstRecompute(t *testing.T) {
+	pool := []types.Value{types.Null(), types.NewInt(-3), types.NewInt(0), types.NewInt(2),
+		types.NewFloat(2), types.NewFloat(-0.5), types.NewFloat(7.25), types.NewInt(7), types.NewFloat(-3)}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := NewState([]int{0}, []Spec{{Func: Min, Col: 1}, {Func: Max, Col: 1}})
+		judged := map[string][2]types.Value{}
+		having := func(key, aggs types.Tuple) (bool, error) {
+			judged[key[0].Str()] = [2]types.Value{aggs[0], aggs[1]}
+			return false, nil
+		}
+		var rows []types.Tuple
+		for step := 0; step < 3000; step++ {
+			clear(judged)
+			if i := rng.Intn(len(rows) + 1); i < len(rows) && rng.Intn(2) == 0 {
+				old := rows[i]
+				rows = slices.Delete(rows, i, i+1)
+				if _, err := st.Apply(OpDelete, old, nil, true, false, having); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				tu := types.Tuple{types.NewString(fmt.Sprint(rng.Intn(2))), pool[rng.Intn(len(pool))]}
+				rows = append(rows, tu)
+				if _, err := st.Apply(OpInsert, nil, tu, false, true, having); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for g, got := range judged {
+				var lo, hi types.Value // NULL for a group without a value
+				for _, r := range rows {
+					if v := r[1]; r[0].Str() == g && !v.IsNull() {
+						if lo.IsNull() || types.Compare(v, lo) < 0 {
+							lo = v
+						}
+						if hi.IsNull() || types.Compare(v, hi) > 0 {
+							hi = v
+						}
+					}
+				}
+				if !types.Equal(got[0], lo) || !types.Equal(got[1], hi) {
+					t.Fatalf("seed %d step %d: group %s min, max = %v, %v; recompute %v, %v", seed, step, g, got[0], got[1], lo, hi)
+				}
+			}
+		}
+	}
+}
+
 // Ablation: incremental aggregate maintenance vs recomputing the group
 // from its rows on every token (what a query-based trigger system would
 // do, per the paper's §8 critique of RPL/DIPS).

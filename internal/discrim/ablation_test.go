@@ -56,10 +56,11 @@ func BenchmarkAblation_VirtualVsStoredMemory(b *testing.B) {
 				}
 				b.ResetTimer()
 				fired := 0
+				var sc Scratch
 				for i := 0; i < b.N; i++ {
 					tok := datasource.Token{SourceID: 3, Op: datasource.OpInsert,
 						New: rep(int64(i%rows), 1)}
-					err := n.Enumerate(1, tok, func(Combo) bool { fired++; return true })
+					err := n.Enumerate(&sc, 1, tok, func(Combo) bool { fired++; return true })
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -116,10 +117,11 @@ func BenchmarkAblation_IndexedVsScanMemory(b *testing.B) {
 				}
 				b.ResetTimer()
 				fired := 0
+				var sc Scratch
 				for i := 0; i < b.N; i++ {
 					tok := datasource.Token{SourceID: 3, Op: datasource.OpInsert,
 						New: rep(int64(i%rows), 1)}
-					if err := n.Enumerate(1, tok, func(Combo) bool { fired++; return true }); err != nil {
+					if err := n.Enumerate(&sc, 1, tok, func(Combo) bool { fired++; return true }); err != nil {
 						b.Fatal(err)
 					}
 				}

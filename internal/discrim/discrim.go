@@ -41,30 +41,114 @@ const (
 
 // instance is one tuple held by a memory. Duplicate rows are distinct
 // instances, told apart by serial: Gator's partial joins name instances
-// by serial; A-TREAT ignores it.
+// by serial; A-TREAT ignores it. A stored memory's instance is its slot's
+// row, valid only while the memory's lock is held (see memory).
 type instance struct {
 	serial uint64
 	tuple  types.Tuple
 }
 
 func (in instance) at(col int) types.Value { return in.tuple.Get(col) }
-func (in instance) is(o instance) bool     { return in.serial == o.serial }
+
+// none ends a slot chain.
+const none = -1
+
+// chains threads slots into hash buckets without a slice per bucket:
+// heads maps a bucket's hash to its first and last slot and its length,
+// and links holds each slot's neighbours in its bucket, so a slot joins
+// a bucket at its tail and leaves it in O(1), buckets keep insertion
+// order, and once the map and the links have grown nothing allocates. A
+// slot is in at most one bucket of a chains.
+type chains struct {
+	heads map[uint64]bucket
+	links []link // by slot
+}
+
+type bucket struct{ first, last, n int32 }
+
+type link struct{ prev, next int32 }
+
+// push appends slot s to bucket h.
+func (c *chains) push(h uint64, s int32) {
+	if c.heads == nil {
+		c.heads = make(map[uint64]bucket)
+	}
+	for int(s) >= len(c.links) {
+		c.links = append(c.links, link{})
+	}
+	l := link{prev: none, next: none}
+	if b, ok := c.heads[h]; ok {
+		l.prev, c.links[b.last].next = b.last, s
+		b.last, b.n = s, b.n+1
+		c.heads[h] = b
+	} else {
+		c.heads[h] = bucket{first: s, last: s, n: 1}
+	}
+	c.links[s] = l
+}
+
+// unlink takes slot s out of bucket h, and drops the bucket once it is
+// empty.
+func (c *chains) unlink(h uint64, s int32) {
+	b, l := c.heads[h], c.links[s]
+	if b.n--; b.n == 0 {
+		delete(c.heads, h)
+		return
+	}
+	if l.prev == none {
+		b.first = l.next
+	} else {
+		c.links[l.prev].next = l.next
+	}
+	if l.next == none {
+		b.last = l.prev
+	} else {
+		c.links[l.next].prev = l.prev
+	}
+	c.heads[h] = b
+}
+
+// first returns bucket h's first slot, or none; next(s) the one after s.
+func (c *chains) first(h uint64) int32 {
+	if b, ok := c.heads[h]; ok {
+		return b.first
+	}
+	return none
+}
+
+func (c *chains) next(s int32) int32 { return c.links[s].next }
+
+// len reports bucket h's length.
+func (c *chains) len(h uint64) int32 { return c.heads[h].n }
+
+// freeList holds a slot table's freed slots, handed out again before
+// the table grows.
+type freeList []int32
+
+// take returns a freed slot, or end, the slot past the table's end, when
+// none is free.
+func (f *freeList) take(end int) int32 {
+	k := len(*f)
+	if k == 0 {
+		return int32(end)
+	}
+	s := (*f)[k-1]
+	*f = (*f)[:k-1]
+	return s
+}
 
 // hashIndex is the hash index a memory keeps on each key a plan probes
 // it by — the memory indexing Ariel used ([Hans96]), so a join probes
 // the entries that can match instead of scanning the memory: per key,
-// the entries bucketed by the hash of their value there. Alpha memories
-// key by column, beta memories by (variable, column).
-type hashIndex[K comparable, E keyed[K, E]] struct {
-	keys    []K
-	buckets []map[uint64][]E // buckets[i] by keys[i]'s value
+// the memory's slots chained by the hash of their entry's value there.
+// Alpha memories key by column, beta memories by (variable, column).
+type hashIndex[K comparable, E keyed[K]] struct {
+	keys []K
+	by   []chains // by[i] chains by keys[i]'s value
 }
 
-// keyed is a hashIndex entry: its value at a key, and its identity.
-type keyed[K, E any] interface {
-	at(K) types.Value
-	is(E) bool
-}
+// keyed is a hashIndex entry: its value at a key.
+type keyed[K any] interface{ at(K) types.Value }
 
 // slot returns k's index slot, adding the index if it is new. Plans
 // call it while the network is built, before the memory holds an entry.
@@ -73,93 +157,124 @@ func (x *hashIndex[K, E]) slot(k K) int {
 		return i
 	}
 	x.keys = append(x.keys, k)
-	x.buckets = append(x.buckets, make(map[uint64][]E))
+	x.by = append(x.by, chains{})
 	return len(x.keys) - 1
 }
 
-func (x *hashIndex[K, E]) add(e E) {
+func (x *hashIndex[K, E]) add(s int32, e E) {
 	for i, k := range x.keys {
-		h := e.at(k).Hash()
-		x.buckets[i][h] = append(x.buckets[i][h], e)
+		x.by[i].push(e.at(k).Hash(), s)
 	}
 }
 
-func (x *hashIndex[K, E]) remove(e E) {
+func (x *hashIndex[K, E]) remove(s int32, e E) {
 	for i, k := range x.keys {
-		b, h := x.buckets[i], e.at(k).Hash()
-		cut(b, h, slices.IndexFunc(b[h], func(o E) bool { return o.is(e) }))
+		x.by[i].unlink(e.at(k).Hash(), s)
 	}
 }
 
 // lookup calls fn, until it returns false, on every entry whose value at
-// p's key equals the bound value p names.
-func (x *hashIndex[K, E]) lookup(p probe, combo []types.Tuple, fn func(E) bool) {
-	v, k := combo[p.by.v].Get(p.by.col), x.keys[p.slot]
-	for _, e := range x.buckets[p.slot][v.Hash()] {
-		if types.Equal(e.at(k), v) && !fn(e) {
+// p's key equals the bound value p names; entry maps a slot to its entry.
+func (x *hashIndex[K, E]) lookup(p probe, combo []types.Tuple, entry func(int32) E, fn func(E) bool) {
+	v, k, c := combo[p.by.v].Get(p.by.col), x.keys[p.slot], &x.by[p.slot]
+	for s := c.first(v.Hash()); s != none; s = c.next(s) {
+		if e := entry(s); types.Equal(e.at(k), v) && !fn(e) {
 			return
 		}
 	}
 }
 
-// memory is a stored alpha memory: tuple instances bucketed by tuple
-// hash (their identity, for removal) and indexed on the columns its
-// plans probe.
+// memory is a stored alpha memory: a slot table of tuple instances. Each
+// slot keeps its own tuple, which the memory owns and refills in place;
+// the slot is chained by tuple hash (its identity, for removal) and by
+// its value in each column its plans probe. A removed row's values are
+// cleared and its slot is reused, so a memory that has grown allocates
+// nothing. The zero memory is empty and ready for use.
+//
+// Ownership: a row is the memory's, and readable only under its lock.
+// An enumeration holds the read lock of every memory whose row it binds
+// across the P-node call; whatever keeps a row past that — a rule-action
+// task, an attempt a retry policy abandons, a Gator partial — copies it.
 type memory struct {
 	mu   sync.RWMutex
 	next uint64 // the last serial handed out
 	size int
-	ids  map[uint64][]instance
+	rows []instance // by slot; serial 0 marks a free slot
+	free freeList
+	ids  chains // slots by tuple hash
 	idx  hashIndex[int, instance]
 }
 
-func newMemory() *memory { return &memory{ids: make(map[uint64][]instance)} }
+// get returns slot s's instance, its tuple capped so that an append
+// copies it instead of writing into the slot's spare capacity.
+func (m *memory) get(s int32) instance {
+	r := m.rows[s]
+	return instance{r.serial, r.tuple[:len(r.tuple):len(r.tuple)]}
+}
 
 // add stores a copy of tu and returns the new instance's serial.
 func (m *memory) add(tu types.Tuple) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	s := m.free.take(len(m.rows))
+	if int(s) == len(m.rows) {
+		m.rows = append(m.rows, instance{})
+	}
 	m.next++
-	in := instance{m.next, tu.Clone()}
-	h := in.tuple.Hash()
-	m.ids[h] = append(m.ids[h], in)
-	m.idx.add(in)
+	r := &m.rows[s]
+	r.serial, r.tuple = m.next, append(r.tuple[:0], tu...)
+	m.ids.push(tu.Hash(), s)
+	m.idx.add(s, *r)
 	m.size++
-	return in.serial
+	return m.next
 }
 
 // remove deletes one instance equal to tu and returns its serial, or 0
-// when the memory holds none (a phantom delete).
+// when the memory holds none (a phantom delete). The slot's values are
+// cleared, so the memory keeps nothing of the row reachable, and the
+// slot goes to the next add.
 func (m *memory) remove(tu types.Tuple) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := tu.Hash()
-	i := slices.IndexFunc(m.ids[h], func(in instance) bool { return in.tuple.Equal(tu) })
-	if i < 0 {
-		return 0
+	for s := m.ids.first(h); s != none; s = m.ids.next(s) {
+		if in := m.get(s); in.tuple.Equal(tu) {
+			m.ids.unlink(h, s)
+			m.idx.remove(s, in)
+			if ScribbleFreed != nil {
+				ScribbleFreed(in.tuple)
+			} else {
+				clear(in.tuple)
+			}
+			r := &m.rows[s]
+			r.serial, r.tuple = 0, r.tuple[:0]
+			m.free = append(m.free, s)
+			m.size--
+			return in.serial
+		}
 	}
-	in := m.ids[h][i]
-	cut(m.ids, h, i)
-	m.idx.remove(in)
-	m.size--
-	return in.serial
+	return 0
 }
+
+// ScribbleFreed, when a test sets it, fills each row a memory frees with
+// garbage instead of clearing it, so that whatever still reads a removed
+// row — a combination kept past its P-node call, a Gator partial that
+// shares a slot instead of copying it — reads garbage, and shows.
+var ScribbleFreed func(row types.Tuple)
 
 // scan calls fn, until it returns false, on every instance p selects:
 // those whose indexed column holds the bound value p names, or all of
-// them for a scan.
+// them for a scan. fn runs under the memory's read lock.
 func (m *memory) scan(p probe, combo []types.Tuple, fn func(instance) bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if p.slot >= 0 {
-		m.idx.lookup(p, combo, fn)
+		m.idx.lookup(p, combo, m.get, fn)
 		return
 	}
-	for _, b := range m.ids {
-		for _, in := range b {
-			if !fn(in) {
-				return
-			}
+	for s := range m.rows {
+		if m.rows[s].serial != 0 && !fn(m.get(int32(s))) {
+			return
 		}
 	}
 }
@@ -168,17 +283,6 @@ func (m *memory) len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.size
-}
-
-// cut deletes bucket h's i'th entry, and the bucket once it is empty.
-// slices.Delete clears the vacated slot, so a removed entry is not kept
-// reachable by the bucket's backing array.
-func cut[E any](b map[uint64][]E, h uint64, i int) {
-	if rest := slices.Delete(b[h], i, i+1); len(rest) > 0 {
-		b[h] = rest
-	} else {
-		delete(b, h)
-	}
 }
 
 // Var describes one tuple variable of a trigger.
@@ -357,7 +461,7 @@ func NewNetworkOpts(triggerID uint64, vars []Var, edges []JoinEdge, catchAll exp
 	for i := range n.Vars {
 		switch v := &n.Vars[i]; {
 		case v.Kind == Stored:
-			v.mem = newMemory()
+			v.mem = new(memory)
 		case v.Table == nil:
 			return nil, fmt.Errorf("discrim: virtual memory for %q needs a backing table", v.Name)
 		default:
@@ -441,9 +545,23 @@ func (n *Network) RemoveTuple(v int, tu types.Tuple) error {
 	return nil
 }
 
+// Scratch is one enumeration's state — the join, its combination and
+// the combination's old images — owned by the caller and reused from
+// call to call, the way predindex.Match fills a caller's Buffer. The
+// zero Scratch is ready for use; it serves one enumeration at a time,
+// and holds nothing between calls.
+type Scratch struct {
+	j   join
+	buf []types.Tuple
+}
+
+// scratches serves NotifyToken, whose callers own no Scratch.
+var scratches = sync.Pool{New: func() any { return new(Scratch) }}
+
 // Enumerate streams satisfying combinations seeded by the given tuple
-// at variable v, without touching any memory. A nil pnode is a no-op.
-func (n *Network) Enumerate(v int, tok datasource.Token, pnode PNode) error {
+// at variable v, without touching any memory, using sc for its state. A
+// nil pnode is a no-op.
+func (n *Network) Enumerate(sc *Scratch, v int, tok datasource.Token, pnode PNode) error {
 	if v < 0 || v >= len(n.Vars) {
 		return fmt.Errorf("discrim: variable %d out of range", v)
 	}
@@ -451,12 +569,20 @@ func (n *Network) Enumerate(v int, tok datasource.Token, pnode PNode) error {
 	if pnode == nil || seed == nil {
 		return nil
 	}
-	buf := make([]types.Tuple, 2*len(n.Vars))
-	j := &join{n: n, tok: tok, seedVar: v, pnode: pnode,
-		env: expr.MultiEnv{Tuples: buf[:len(n.Vars):len(n.Vars)], Olds: buf[len(n.Vars):]}}
+	nv := len(n.Vars)
+	if cap(sc.buf) < 2*nv {
+		sc.buf = make([]types.Tuple, 2*nv)
+	}
+	buf := sc.buf[:2*nv]
+	j := &sc.j
+	*j = join{n: n, tok: tok, seedVar: v, pnode: pnode,
+		env: expr.MultiEnv{Tuples: buf[:nv:nv], Olds: buf[nv:]}}
 	j.env.Tuples[v], j.env.Olds[v] = seed, tok.Old
 	j.extend(n.plans[v])
-	return j.err
+	err := j.err
+	clear(buf)
+	*j = join{}
+	return err
 }
 
 // NotifyToken drives the network with a token routed to variable v: the
@@ -485,7 +611,9 @@ func (n *Network) NotifyToken(v int, tok datasource.Token, pnode PNode) error {
 			va.mem.add(tok.New)
 		}
 	}
-	return n.Enumerate(v, tok, pnode)
+	sc := scratches.Get().(*Scratch)
+	defer scratches.Put(sc)
+	return n.Enumerate(sc, v, tok, pnode)
 }
 
 // join is one TREAT enumeration: the seed variable's tuple is fixed and

@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"triggerman/internal/datasource"
 	"triggerman/internal/expr"
@@ -17,6 +19,18 @@ import (
 	"triggerman/internal/storage"
 	"triggerman/internal/types"
 )
+
+// Every test of this package runs with freed memory rows overwritten:
+// whatever still reads a row after its slot was freed — a Gator partial
+// sharing a slot instead of copying it, a combination kept past its
+// P-node call — reads garbage, and the recompute oracles fail.
+func init() { ScribbleFreed = scribbleRow }
+
+func scribbleRow(row types.Tuple) {
+	for i := range row {
+		row[i] = types.NewString("scribbled")
+	}
+}
 
 // Real-estate schema from §2 of the paper.
 var (
@@ -388,54 +402,71 @@ func TestDuplicateTuplesBagSemantics(t *testing.T) {
 	}
 }
 
-// A tuple removed from a memory becomes garbage even while the index
-// bucket it shared keeps another row: a removal that leaves it in the
-// bucket's vacated slot keeps it reachable for as long as the bucket
-// lives.
+// A removed row becomes garbage at once, though its slot lives on: the
+// memory clears the slot's values — and a Gator partial that held the
+// row held a copy, which retraction drops — and the next add reuses the
+// slot instead of growing the table. (It runs without the scribbling,
+// which would bury the row under garbage whether or not it is cleared.)
 func TestRemovedTupleIsCollected(t *testing.T) {
+	ScribbleFreed = nil
+	defer func() { ScribbleFreed = scribbleRow }()
 	for _, kind := range []string{"atreat", "gator"} {
 		t.Run(kind, func(t *testing.T) {
 			vars := []Var{{Name: "s", SourceID: 1}, {Name: "r", SourceID: 3}}
 			edges := []JoinEdge{{A: 0, B: 1, Pred: bindTwo(t, "s.spno = r.spno", spSchema, repSchema)}}
 			var notify func(int, datasource.Token, PNode) error
+			var mem *memory
 			if kind == "atreat" {
 				n, err := NewNetwork(1, vars, edges, expr.CNF{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				notify = n.NotifyToken
+				notify, mem = n.NotifyToken, n.Vars[0].mem
 			} else {
 				g, err := NewGreedyGator(1, vars, edges, expr.CNF{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				notify = g.NotifyToken
+				notify, mem = g.NotifyToken, g.Vars[0].mem
 			}
-			defer runtime.KeepAlive(notify) // the network, and rep(7, 1) in it
+			defer runtime.KeepAlive(notify) // the network, and its memories
+			notify(0, insertTok(1, sp(1, "Ann")), nil)
 			notify(1, insertTok(3, rep(7, 1)), nil)
-			notify(1, insertTok(3, rep(7, 2)), nil)
-			// The memory holds a copy of each row; reach the copy of
-			// rep(7, 2) through a combination.
-			var stored *types.Value
-			notify(0, insertTok(1, sp(7, "Iris")), func(c Combo) bool {
-				if c.Tuples[1].Get(1).Int() == 2 {
-					stored = &c.Tuples[1][0]
-				}
-				return true
-			})
 			collected := make(chan struct{})
-			runtime.SetFinalizer(stored, func(*types.Value) { close(collected) })
-			stored = nil
-			notify(1, datasource.Token{SourceID: 3, Op: datasource.OpDelete, Old: rep(7, 2)}, nil)
-			for i := 0; i < 50; i++ {
+			// The row's name is a heap string of its own that nothing but
+			// the tokens and the network holds; the tokens are gone once
+			// this call returns.
+			func() {
+				name := strings.Repeat("Iris", 16)
+				runtime.SetFinalizer(unsafe.StringData(name), func(*byte) { close(collected) })
+				notify(0, insertTok(1, sp(7, name)), nil)
+				// Gator: a partial seeded at r copies the row it binds at s.
+				notify(1, insertTok(3, rep(7, 2)), nil)
+				notify(0, datasource.Token{SourceID: 1, Op: datasource.OpDelete, Old: sp(7, name)}, nil)
+			}()
+			if got := memoryRows(mem); fmt.Sprint(got) != fmt.Sprint(sortedRows([]types.Tuple{sp(1, "Ann")})) {
+				t.Fatalf("memory holds %v after the delete", got)
+			}
+			freed := slices.IndexFunc(mem.rows, func(r instance) bool { return r.serial == 0 })
+			if freed < 0 || len(mem.rows) != 2 {
+				t.Fatalf("slot table %v: want the removed row's slot free among 2", mem.rows)
+			}
+			for i := 0; ; i++ {
 				runtime.GC()
 				select {
 				case <-collected:
-					return
 				case <-time.After(10 * time.Millisecond):
+					if i < 50 {
+						continue
+					}
+					t.Fatal("the removed row's string is still reachable from the network")
 				}
+				break
 			}
-			t.Fatal("the removed row is still reachable from the network")
+			notify(0, insertTok(1, sp(8, "Bo")), nil)
+			if len(mem.rows) != 2 || mem.rows[freed].serial == 0 {
+				t.Fatalf("slot table %v: the add did not reuse slot %d", mem.rows, freed)
+			}
 		})
 	}
 }
@@ -467,9 +498,10 @@ func TestConcurrentEnumerations(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
+			var sc Scratch
 			for k := d * 1000; k < d*1000+200; k++ {
 				got := 0
-				err := n.Enumerate(1, insertTok(2, house(k, 1)), func(c Combo) bool {
+				err := n.Enumerate(&sc, 1, insertTok(2, house(k, 1)), func(c Combo) bool {
 					if c.Tuples[1].Get(0).Int() == k && types.Equal(c.Tuples[0].Get(0), c.Tuples[2].Get(0)) {
 						got++
 					}

@@ -37,34 +37,34 @@ import (
 // identity is Rete-style: each inserted tuple carries a serial, and a
 // partial holds the serial of every instance in it, so duplicate tuple
 // values yield distinct combinations exactly as the TREAT bag semantics
-// do.
+// do. A partial owns its tuples (see gjoin.partial) and nothing writes
+// them.
 type partial struct {
 	tuples  []types.Tuple
 	serials []uint64 // indexed by variable; 0 outside the span
 }
 
 func (p *partial) at(vc varCol) types.Value { return p.tuples[vc.v].Get(vc.col) }
-func (p *partial) is(o *partial) bool       { return p == o }
 
-// betaMemory stores a node's partial combinations, bucketed per span
-// variable by that variable's instance serial (their identity, for
-// retraction) and indexed on the (variable, column) values its plans
-// probe — the beta analogue of Ariel's indexed alpha memories.
+// betaMemory stores a node's partial combinations in a slot table,
+// chained per span variable by that variable's instance serial (their
+// identity, for retraction) and indexed on the (variable, column) values
+// its plans probe — the beta analogue of Ariel's indexed alpha memories.
 type betaMemory struct {
 	mu       sync.RWMutex
 	span     []int
 	size     int
-	bySerial []map[uint64][]*partial // indexed by variable
+	parts    []*partial // by slot; nil marks a free slot
+	free     freeList
+	bySerial []chains // indexed by variable
 	idx      hashIndex[varCol, *partial]
 }
 
 func newBetaMemory(span []int) *betaMemory {
-	bm := &betaMemory{span: span, bySerial: make([]map[uint64][]*partial, span[len(span)-1]+1)}
-	for _, v := range span {
-		bm.bySerial[v] = make(map[uint64][]*partial)
-	}
-	return bm
+	return &betaMemory{span: span, bySerial: make([]chains, span[len(span)-1]+1)}
 }
+
+func (bm *betaMemory) get(s int32) *partial { return bm.parts[s] }
 
 // add stores p unless the memory already holds a partial of the same
 // instances, and reports whether it did. Inserts on sibling leaves run
@@ -73,42 +73,50 @@ func newBetaMemory(span []int) *betaMemory {
 func (bm *betaMemory) add(p *partial) bool {
 	bm.mu.Lock()
 	defer bm.mu.Unlock()
-	// A stored copy of p is in every span variable's serial bucket;
-	// search the smallest.
-	same := bm.bySerial[bm.span[0]][p.serials[bm.span[0]]]
-	for _, v := range bm.span[1:] {
-		if b := bm.bySerial[v][p.serials[v]]; len(b) < len(same) {
-			same = b
+	// A stored copy of p is in every span variable's serial chain;
+	// search the shortest.
+	v := bm.span[0]
+	for _, o := range bm.span[1:] {
+		if bm.bySerial[o].len(p.serials[o]) < bm.bySerial[v].len(p.serials[v]) {
+			v = o
 		}
 	}
-	if slices.ContainsFunc(same, func(q *partial) bool { return slices.Equal(q.serials, p.serials) }) {
-		return false
+	c := &bm.bySerial[v]
+	for s := c.first(p.serials[v]); s != none; s = c.next(s) {
+		if slices.Equal(bm.parts[s].serials, p.serials) {
+			return false
+		}
 	}
+	s := bm.free.take(len(bm.parts))
+	if int(s) == len(bm.parts) {
+		bm.parts = append(bm.parts, nil)
+	}
+	bm.parts[s] = p
 	for _, v := range bm.span {
-		s := p.serials[v]
-		bm.bySerial[v][s] = append(bm.bySerial[v][s], p)
+		bm.bySerial[v].push(p.serials[v], s)
 	}
-	bm.idx.add(p)
+	bm.idx.add(s, p)
 	bm.size++
 	return true
 }
 
-// removeBySerial retracts, and returns, every combination containing
-// the given instance at variable v.
-func (bm *betaMemory) removeBySerial(v int, serial uint64) []*partial {
+// removeBySerial retracts every combination containing the given
+// instance at variable v, and returns gone with them appended.
+func (bm *betaMemory) removeBySerial(v int, serial uint64, gone []*partial) []*partial {
 	bm.mu.Lock()
 	defer bm.mu.Unlock()
-	gone := bm.bySerial[v][serial]
-	delete(bm.bySerial[v], serial)
-	for _, p := range gone {
+	for s := bm.bySerial[v].first(serial); s != none; {
+		p, next := bm.parts[s], bm.bySerial[v].next(s)
 		for _, ov := range bm.span {
-			if b, s := bm.bySerial[ov], p.serials[ov]; ov != v {
-				cut(b, s, slices.Index(b[s], p))
-			}
+			bm.bySerial[ov].unlink(p.serials[ov], s)
 		}
-		bm.idx.remove(p)
+		bm.idx.remove(s, p)
+		bm.parts[s] = nil
+		bm.free = append(bm.free, s)
+		bm.size--
+		gone = append(gone, p)
+		s = next
 	}
-	bm.size -= len(gone)
 	return gone
 }
 
@@ -118,14 +126,12 @@ func (bm *betaMemory) scan(p probe, combo []types.Tuple, fn func(*partial) bool)
 	bm.mu.RLock()
 	defer bm.mu.RUnlock()
 	if p.slot >= 0 {
-		bm.idx.lookup(p, combo, fn)
+		bm.idx.lookup(p, combo, bm.get, fn)
 		return
 	}
-	for _, b := range bm.bySerial[bm.span[0]] {
-		for _, q := range b {
-			if !fn(q) {
-				return
-			}
+	for _, q := range bm.parts {
+		if q != nil && !fn(q) {
+			return
 		}
 	}
 }
@@ -201,7 +207,7 @@ func NewGatorNetwork(triggerID uint64, vars []Var, edges []JoinEdge, catchAll ex
 		if v := &g.Vars[i]; v.Kind == Virtual {
 			return nil, fmt.Errorf("discrim: gator networks require stored memories (variable %q)", v.Name)
 		}
-		g.Vars[i].mem = newMemory()
+		g.Vars[i].mem = new(memory)
 		g.leaves[i] = &gnode{leafVar: i, span: []int{i}}
 	}
 	root, err := g.buildShape(shape)
@@ -395,7 +401,7 @@ func (g *GatorNetwork) insert(v int, tu types.Tuple, tok datasource.Token, pnode
 	}
 	n := len(g.Vars)
 	buf := make([]types.Tuple, 2*n)
-	j := &gjoin{g: g, env: expr.MultiEnv{Tuples: buf[:n:n], Olds: buf[n:]}, serials: make([]uint64, n)}
+	j := &gjoin{g: g, env: expr.MultiEnv{Tuples: buf[:n:n], Olds: buf[n:]}, serials: make([]uint64, n), memRow: make([]bool, n)}
 	combo := j.env.Tuples
 	j.env.Olds[v] = tok.Old
 	combo[v], j.serials[v] = tu, g.Vars[v].mem.add(tu)
@@ -422,8 +428,36 @@ type gjoin struct {
 	g       *GatorNetwork
 	env     expr.MultiEnv // the combination; only the seed has an old image
 	serials []uint64
+	memRow  []bool     // which of the combination's tuples are alpha-memory rows
 	out     []*partial // the partials made at the current level
 	err     error
+}
+
+// partial makes the combination a partial. The partial outlives the
+// alpha memories' locks, and a removed row's slot is cleared and reused,
+// so the rows bound from alpha memories are copied, into one array; the
+// seed's tuple and those of the partials below are shared, as nothing
+// writes them.
+func (j *gjoin) partial() *partial {
+	p := &partial{tuples: slices.Clone(j.env.Tuples), serials: slices.Clone(j.serials)}
+	n := 0
+	for v, borrowed := range j.memRow {
+		if borrowed {
+			n += len(p.tuples[v])
+		}
+	}
+	if n == 0 {
+		return p
+	}
+	vals := make(types.Tuple, 0, n)
+	for v, borrowed := range j.memRow {
+		if borrowed {
+			k := len(vals)
+			vals = append(vals, p.tuples[v]...)
+			p.tuples[v] = vals[k:len(vals):len(vals)]
+		}
+	}
+	return p
 }
 
 // extend binds sibs' spans in every way their memories allow; each
@@ -436,18 +470,19 @@ func (j *gjoin) extend(node *gnode, sibs []sibling) {
 	if len(sibs) == 0 {
 		ok, err := allHold(node.tests, &j.env)
 		if j.err = err; ok {
-			j.out = append(j.out, &partial{tuples: slices.Clone(combo), serials: slices.Clone(j.serials)})
+			j.out = append(j.out, j.partial())
 		}
 		return
 	}
 	s := &sibs[0]
 	if v := s.node.leafVar; v >= 0 {
+		j.memRow[v] = true
 		j.g.Vars[v].mem.scan(s.probe, combo, func(in instance) bool {
 			combo[v], j.serials[v] = in.tuple, in.serial
 			j.extend(node, sibs[1:])
 			return j.err == nil
 		})
-		combo[v], j.serials[v] = nil, 0
+		combo[v], j.serials[v], j.memRow[v] = nil, 0, false
 		return
 	}
 	span := s.node.span
@@ -477,7 +512,7 @@ func (g *GatorNetwork) remove(v int, tu types.Tuple, tok datasource.Token, pnode
 	}
 	var gone []*partial
 	for n := g.leaves[v].parent; n != nil; n = n.parent {
-		gone = n.beta.removeBySerial(v, serial)
+		gone = n.beta.removeBySerial(v, serial, gone[:0])
 	}
 	if pnode == nil || len(gone) == 0 {
 		return nil

@@ -485,7 +485,7 @@ func (w *work) fire() error {
 		return w.runCombo(lt, w.one[:], nil, 0)
 	}
 	w.lt, w.ferr = lt, nil
-	if err := lt.Network.Enumerate(int(m.NextNode), w.tok, w.comboFn); err != nil {
+	if err := lt.Network.Enumerate(&w.join, int(m.NextNode), w.tok, w.comboFn); err != nil {
 		return err
 	}
 	return w.ferr
@@ -494,23 +494,29 @@ func (w *work) fire() error {
 // runCombo executes a trigger's action for one satisfying combination —
 // with an aggregate trigger's aggregate tuple, which the firing keeps —
 // inline or as a rule-action task per Options.ActionTasks. The firing
-// gets a work of its own, holding its own copy of the combination: as a
-// task it outlives this token's step and everything in w.
+// gets a work of its own, holding its own copy of the combination. A
+// task, or an attempt a retry policy abandons (see own), outlives this
+// token's step, everything in w and the memories' read locks, so the
+// firing then copies the combination's rows too.
 func (w *work) runCombo(lt *catalog.LoadedTrigger, tuples []types.Tuple, aggs types.Tuple, seed int) error {
 	s := w.s
-	if s.FireHook != nil {
-		s.FireHook(lt.Info.ID, slices.Clone(tuples))
-	}
+	task := s.pool != nil && s.opts.ActionTasks
 	aw := s.getWork()
 	aw.tok, aw.slot, aw.sp, aw.firing = w.tok, w.slot, w.sp, true
 	aw.lt, aw.id = lt, lt.Info.ID
 	aw.tuples = append(aw.tuples[:0], tuples...)
+	if (task || s.abandons) && len(tuples) > 1 {
+		aw.ownRows(seed)
+	}
 	aw.olds = append(aw.olds[:0], make([]types.Tuple, len(tuples))...)
 	if seed >= 0 && seed < len(aw.olds) {
 		aw.olds[seed] = w.tok.Old
 	}
 	aw.env.Binding = exec.Binding{VarIndex: lt.VarIndex, Tuples: aw.tuples, Olds: aw.olds, Aggregates: aggs}
-	if s.pool == nil || !s.opts.ActionTasks {
+	if s.FireHook != nil {
+		s.FireHook(lt.Info.ID, aw.tuples)
+	}
+	if !task {
 		// Task type 4: the token's actions run inside its own task.
 		aw.runAction()
 		s.putWork(aw)
@@ -524,6 +530,26 @@ func (w *work) runCombo(lt *catalog.LoadedTrigger, tuples []types.Tuple, aggs ty
 		pri = taskq.Low
 	}
 	return s.submit(aw, taskq.Task{Kind: taskq.RunAction, Pri: pri})
+}
+
+// ownRows copies the firing's tuples other than the seed's — a network
+// combination's rows, which belong to alpha memories — into w.vals. A
+// single-variable firing's tuple is the token's own and is not copied.
+func (w *work) ownRows(seed int) {
+	n := 0
+	for i, tu := range w.tuples {
+		if i != seed {
+			n += len(tu)
+		}
+	}
+	w.vals = slices.Grow(w.vals[:0], n)
+	for i, tu := range w.tuples {
+		if i != seed && tu != nil {
+			k := len(w.vals)
+			w.vals = append(w.vals, tu...)
+			w.tuples[i] = w.vals[k:len(w.vals):len(w.vals)]
+		}
+	}
 }
 
 // runAction executes the firing w was filled with by runCombo.

@@ -1,6 +1,7 @@
 package triggerman
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"triggerman/internal/datasource"
+	"triggerman/internal/discrim"
 	"triggerman/internal/expr"
 	"triggerman/internal/predindex"
 	"triggerman/internal/retry"
@@ -24,9 +26,20 @@ import (
 // that was a slice of a buffer and not a copy — reads garbage, and the
 // tests that compare outputs with a recompute (the chaos table, the
 // kitchen sink, the probe and ordering properties, the cascade below)
-// fail. The garbage is static, so scribbling allocates nothing and the
-// allocation ceilings hold under it.
-func init() { scribble = scribbleWork }
+// fail. So does whatever reads an alpha-memory row after the memory
+// freed its slot: a rule-action task that did not copy its combination,
+// a Gator partial sharing a slot. The garbage is static, so scribbling
+// allocates nothing and the allocation ceilings hold under it.
+func init() {
+	scribble = scribbleWork
+	discrim.ScribbleFreed = scribbleRow
+}
+
+func scribbleRow(row types.Tuple) {
+	for i := range row {
+		row[i] = garbageTuple[0]
+	}
+}
 
 var (
 	garbageTuple = types.Tuple{types.NewString("scribbled"), types.NewString("scribbled"), types.NewString("scribbled"), types.NewString("scribbled")}
@@ -42,6 +55,7 @@ func scribbleWork(w *work) {
 			buf[i] = garbageTuple
 		}
 	}
+	scribbleRow(w.vals[:cap(w.vals)])
 	ms := w.probe.Matches[:cap(w.probe.Matches)]
 	for i := range ms {
 		ms[i] = garbageMatch
@@ -327,6 +341,127 @@ func firstDiff(got, want []string) string {
 		}
 	}
 	return "none"
+}
+
+// TestActionTaskOwnsItsMemoryRows holds a rule-action task back while
+// the row it joined leaves the alpha memory: one driver, blocked by a
+// gate firing, lets a join's insert and the delete of its partner row
+// queue up and then stage in one batch, so the delete frees — and
+// scribbles — the partner's slot before the task runs. The task reads
+// the partner's columns all the same, from its own copy.
+func TestActionTaskOwnsItsMemoryRows(t *testing.T) {
+	sys, orders, vip := openOrdersJoin(t, Options{Queue: MemoryQueue, ActionTasks: true, Drivers: 1})
+	gate, err := sys.DefineStreamSource("gate", types.Column{Name: "g", Kind: types.KindInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateTrigger(`create trigger gate from gate do raise event Gate(gate.g)`); err != nil {
+		t.Fatal(err)
+	}
+	gateID := triggerIDByName(t, sys, "gate")
+	blocked, open := make(chan struct{}), make(chan struct{})
+	sys.FireHook = func(id uint64, _ []types.Tuple) {
+		if id == gateID {
+			close(blocked)
+			<-open
+		}
+	}
+	got := collectArgs(t, sys)
+	partner := types.Tuple{types.NewInt(1), types.NewString("ann")}
+	if err := vip.Insert(partner); err != nil {
+		t.Fatal(err)
+	}
+	sys.Drain()
+	if err := gate.Insert(types.Tuple{types.NewInt(0)}); err != nil {
+		t.Fatal(err)
+	}
+	<-blocked
+	if err := errors.Join(orders.Insert(types.Tuple{types.NewInt(10), types.NewInt(1)}), vip.Delete(partner)); err != nil {
+		t.Fatal(err)
+	}
+	close(open)
+	sys.Drain()
+	if j := got("J"); fmt.Sprint(j) != `[(10, 'ann')]` {
+		t.Fatalf("J fired %v, want the order joined with ann's row as it was", j)
+	}
+}
+
+// TestAbandonedJoinAttemptOwnsItsMemoryRows abandons an inline join
+// firing's first attempt and holds it back until the partner row it
+// joined has left the alpha memory, its slot freed and scribbled. The
+// abandoned attempt outlives its token's step and the memories' read
+// locks, so it must run on its own copy of the row (runCombo copies
+// the rows whenever attempts can be abandoned): its delivery, like every
+// other attempt's, carries the partner's columns as they were.
+func TestAbandonedJoinAttemptOwnsItsMemoryRows(t *testing.T) {
+	sys, orders, vip := openOrdersJoin(t, Options{
+		Queue: MemoryQueue, Drivers: 1,
+		ActionRetry: &retry.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
+			AttemptTimeout: 50 * time.Millisecond},
+	})
+	release := make(chan struct{})
+	var calls atomic.Int64
+	sys.exe.Inject = func(uint64) error {
+		if calls.Add(1) == 1 {
+			<-release // abandoned at its timeout; the retry delivers
+		}
+		return nil
+	}
+	got := collectArgs(t, sys)
+	partner := types.Tuple{types.NewInt(1), types.NewString("ann")}
+	if err := vip.Insert(partner); err != nil {
+		t.Fatal(err)
+	}
+	sys.Drain()
+	if err := orders.Insert(types.Tuple{types.NewInt(10), types.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Drain()
+	if err := vip.Delete(partner); err != nil {
+		t.Fatal(err)
+	}
+	sys.Drain()
+	close(release)
+	// Every attempt that ran delivers once: the abandoned one, the retry
+	// that replaced it, and the attempts of the enumeration, which runs
+	// under the same policy and is abandoned and retried around them.
+	var j []string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if j = got("J"); len(j) >= 2 && len(j) == int(calls.Load()) {
+			break
+		}
+	}
+	if len(j) < 2 || len(j) != int(calls.Load()) {
+		t.Fatalf("J fired %v for %d attempts, want one delivery per attempt and the abandoned one among them", j, calls.Load())
+	}
+	for _, args := range j {
+		if args != `(10, 'ann')` {
+			t.Fatalf("J fired %v, want each the order joined with ann's row as it was", j)
+		}
+	}
+}
+
+// openOrdersJoin opens a system with opts and the join trigger j over
+// two tables, firing J(order id, customer name) when an order arrives;
+// the system closes when the test ends.
+func openOrdersJoin(t *testing.T, opts Options) (sys *System, orders, vip *TableSource) {
+	t.Helper()
+	sys, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	intCol := func(name string) types.Column { return types.Column{Name: name, Kind: types.KindInt} }
+	if orders, err = sys.DefineTableSource("orders", intCol("id"), intCol("cust")); err != nil {
+		t.Fatal(err)
+	}
+	if vip, err = sys.DefineTableSource("vip", intCol("id"), types.Column{Name: "name", Kind: types.KindVarchar}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateTrigger(`create trigger j from orders o, vip v when o.cust = v.id on insert to orders do raise event J(o.id, v.name)`); err != nil {
+		t.Fatal(err)
+	}
+	return sys, orders, vip
 }
 
 // TestReleasedScratchPinsNoDroppedTrigger creates, fires and drops

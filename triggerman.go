@@ -359,6 +359,7 @@ type System struct {
 	pumpInline func() error
 
 	// FireHook, when set, observes every firing (tests and benchmarks).
+	// The combination is the firing's and valid only during the call.
 	FireHook func(triggerID uint64, combo []types.Tuple)
 
 	// routerV holds the installed TokenRouter as a routerBox; read on

@@ -31,11 +31,14 @@ import (
 // elsewhere and merely borrowed. What outlives the step owns its own
 // memory and is never a slice of these buffers: tuples stored in alpha
 // memories and aggregate groups, rows handed to Table.Insert, event
-// arguments delivered to subscribers, FireHook arguments, dead-letter
-// payloads. A rule-action task outlives the token step that fired it,
-// so runCombo gives it a work of its own with its own copy of the
-// combination. putWork clears every pointer, so a parked work pins
-// neither a dropped trigger's predicate nor a token's tuples.
+// arguments delivered to subscribers, dead-letter payloads. A
+// rule-action task outlives the token step that fired it, as does an
+// attempt a retry policy abandons, and the alpha-memory rows of a
+// combination are the memories' (a removal clears and reuses their
+// slots), so runCombo gives a firing a work of its own with its own copy
+// of the combination, and of those rows when it can outlive the step.
+// putWork clears every pointer, so a parked work pins neither a dropped
+// trigger's predicate nor a token's tuples.
 type work struct {
 	s *System
 
@@ -59,14 +62,18 @@ type work struct {
 	cur   int
 	lt    *catalog.LoadedTrigger
 	ferr  error
-	one   [1]types.Tuple // a single-variable firing's combination
+	one   [1]types.Tuple  // a single-variable firing's combination
+	join  discrim.Scratch // the A-TREAT enumeration fire runs
 
 	// A firing (runCombo sets firing and fills these; otherwise the work
 	// is a token's or a partition's step): the trigger's id, and the
-	// matched tuples the action's references read through env.
+	// matched tuples the action's references read through env. vals holds
+	// the firing's copies of its combination's memory rows, when it can
+	// outlive the step (runCombo).
 	firing       bool
 	id           uint64
 	tuples, olds []types.Tuple
+	vals         types.Tuple
 	env          exec.Env
 	exe          *exec.Executor
 	tracedExe    exec.Executor
@@ -114,7 +121,8 @@ func (s *System) putWork(w *work) {
 	w.firing, w.id, w.exe = false, 0, nil
 	clear(w.tuples)
 	clear(w.olds)
-	w.tuples, w.olds = w.tuples[:0], w.olds[:0]
+	clear(w.vals)
+	w.tuples, w.olds, w.vals = w.tuples[:0], w.olds[:0], w.vals[:0]
 	w.env.Binding = exec.Binding{}
 	w.tracedExe = exec.Executor{}
 	if scribble != nil {
