@@ -5,7 +5,7 @@ import (
 
 	"triggerman/internal/datasource"
 	"triggerman/internal/metrics"
-	"triggerman/internal/workload"
+	"triggerman/internal/types"
 )
 
 // benchFederation is the minimal Federation stand-in for hot-path
@@ -24,12 +24,16 @@ func (f benchFederation) ClusterSloz() (any, error) { return nil, nil }
 // applyAllocs measures steady-state allocations of one token apply.
 func applyAllocs(t *testing.T, sys *System) float64 {
 	t.Helper()
-	if _, err := sys.DefineStreamSource("emp", workload.EmpSchema.Columns...); err != nil {
+	if _, err := sys.DefineStreamSource("emp",
+		types.Column{Name: "name", Kind: types.KindVarchar},
+		types.Column{Name: "salary", Kind: types.KindInt},
+		types.Column{Name: "dept", Kind: types.KindVarchar},
+	); err != nil {
 		t.Fatal(err)
 	}
 	src, _ := sys.reg.ByName("emp")
 	tok := datasource.Token{SourceID: src.ID, Op: datasource.OpInsert,
-		New: workload.EmpRow("user0000001", 1, "d")}
+		New: row("user0000001", 1, "d")}
 	// Warm caches (interning, histograms, queue) before counting.
 	for i := 0; i < 100; i++ {
 		if err := sys.apply(tok); err != nil {

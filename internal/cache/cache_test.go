@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,30 +160,61 @@ func TestConcurrentPinUnpin(t *testing.T) {
 	}
 }
 
+// TestWorkingSetHitRatio is E5's shape (§5.1, §5.4): the hit ratio has
+// its knee where capacity reaches the working set. The cyclic arm is
+// LRU's worst case: at full capacity only the first round misses, at
+// half it thrashes. The Zipf arm draws a seeded Zipf(1.1) stream over a
+// working set of 64 triggers: every capacity below 64 misses more than
+// the next larger one, and from 64 on only the 64 first loads miss.
+//
+// Planted regression: a cache that evicts one entry early (Pin testing
+// len(c.entries) >= c.capacity-1) holds 63 at capacity 64, and the Zipf
+// arm fails there with more than 64 misses.
 func TestWorkingSetHitRatio(t *testing.T) {
-	// E5's shape in miniature: when capacity >= working set, hit ratio
-	// approaches 1; when capacity is half, misses grow.
-	run := func(capacity int) float64 {
+	run := func(capacity int, ids []uint64) Stats {
 		var loads int64
 		c := New(capacity, countingLoader(&loads))
-		for round := 0; round < 50; round++ {
-			for id := uint64(0); id < 20; id++ {
-				if _, err := c.Pin(id); err != nil {
-					t.Fatal(err)
-				}
-				c.Unpin(id)
+		for _, id := range ids {
+			if _, err := c.Pin(id); err != nil {
+				t.Fatal(err)
 			}
+			c.Unpin(id)
 		}
-		st := c.Stats()
-		return float64(st.Hits) / float64(st.Hits+st.Misses)
+		return c.Stats()
 	}
-	big := run(20)
-	small := run(10)
-	if big < 0.97 {
-		t.Errorf("full-capacity hit ratio = %f", big)
+	ratio := func(st Stats) float64 { return float64(st.Hits) / float64(st.Hits+st.Misses) }
+
+	var cyclic []uint64
+	for round := 0; round < 50; round++ {
+		for id := uint64(0); id < 20; id++ {
+			cyclic = append(cyclic, id)
+		}
 	}
-	if small > 0.5 {
-		t.Errorf("half-capacity hit ratio = %f (LRU on cyclic scan should thrash)", small)
+	if big := ratio(run(20, cyclic)); big < 0.97 {
+		t.Errorf("cyclic: full-capacity hit ratio = %f", big)
+	}
+	if small := ratio(run(10, cyclic)); small > 0.5 {
+		t.Errorf("cyclic: half-capacity hit ratio = %f (LRU on cyclic scan should thrash)", small)
+	}
+
+	const workingSet = 64
+	zipf := rand.NewZipf(rand.New(rand.NewSource(5)), 1.1, 1, workingSet-1)
+	ids := make([]uint64, 20_000)
+	for i := range ids {
+		ids[i] = zipf.Uint64()
+	}
+	prev := int64(len(ids) + 1)
+	for _, capacity := range []int{8, 16, 32, 48, 63, 64, 96, 128} {
+		misses := run(capacity, ids).Misses
+		switch {
+		case capacity < workingSet && misses >= prev:
+			t.Errorf("zipf: capacity %d misses %d, no fewer than the smaller capacity's %d", capacity, misses, prev)
+		case capacity < workingSet && misses <= workingSet:
+			t.Errorf("zipf: capacity %d below the working set misses only %d", capacity, misses)
+		case capacity >= workingSet && misses != workingSet:
+			t.Errorf("zipf: capacity %d misses %d, want the %d first loads", capacity, misses, workingSet)
+		}
+		prev = misses
 	}
 }
 

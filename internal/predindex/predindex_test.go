@@ -96,7 +96,41 @@ func newIx(t testing.TB, opts ...Option) *Index {
 	return ix
 }
 
+// TestSignatureInterning checks that a signature is a shape: constants
+// and trigger count do not make new ones, but a new shape or event mask
+// does. It then checks E6's plateau (§5: "only a relatively small
+// number of unique expression signatures will ever be observed"):
+// triggers drawn from an 8-shape pool leave exactly 8 signatures at 10²
+// triggers and still 8 at 10³.
+//
+// Planted regression: signatures interned by their instance text, with
+// the constants left in, make one signature per trigger and fail at 100.
 func TestSignatureInterning(t *testing.T) {
+	shapes := []string{
+		"emp.name = 'u%[1]d'",
+		"emp.salary > %[1]d",
+		"emp.dept = 'd%[1]d'",
+		"emp.salary < %[1]d",
+		"emp.name = 'u%[1]d' and emp.salary > %[1]d",
+		"emp.dept = 'd%[1]d' and emp.salary < %[1]d",
+		"emp.salary >= %[1]d",
+		"emp.name = 'u%[1]d' and emp.dept = 'd%[1]d'",
+	}
+	pool := newIx(t)
+	added := 0
+	for _, n := range []int{100, 1_000} {
+		for ; added < n; added++ {
+			sig, consts := buildSig(t, fmt.Sprintf(shapes[added%len(shapes)], added))
+			id := uint64(added + 1)
+			if _, err := pool.AddPredicate(empSrc, EventMask{AnyOp: true}, sig, consts, refFor(t, sig, consts, id, id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := pool.SignatureCount(empSrc); got != len(shapes) {
+			t.Fatalf("%d triggers from %d shapes: signatures = %d", n, len(shapes), got)
+		}
+	}
+
 	ix := newIx(t)
 	mask := EventMask{AnyOp: true}
 	// 100 triggers, same shape, different constants -> ONE signature.
@@ -236,23 +270,26 @@ func TestImplicitInsertOrUpdate(t *testing.T) {
 	}
 }
 
+// TestNormalizedSharedConstant is E8 (§5.3, Figure 4): N triggers with
+// the SAME constant share one constant entry with an N-element
+// triggerID set, so a matching probe and a non-matching probe each cost
+// one constant compare at every N, in the list as in the hash index.
+//
+// Planted regression: a list that gives each shared constant its own
+// entry (memList.add skipping its dedup lookup) compares N constants,
+// and the mm-list case fails from N = 10 on.
 func TestNormalizedSharedConstant(t *testing.T) {
-	// N triggers with the SAME constant: one constant entry, N-element
-	// triggerID set (§5.3).
-	ix := newIx(t, WithForcedOrganization(OrgMemoryIndex))
-	mask := EventMask{AnyOp: true}
-	for i := uint64(1); i <= 100; i++ {
-		sig, consts := buildSig(t, "emp.name = 'shared'")
-		ix.AddPredicate(empSrc, mask, sig, consts, refFor(t, sig, consts, i, i))
-	}
-	ms := matchAll(t, ix, insertTok("shared", 1, "d"))
-	if len(ms) != 100 {
-		t.Fatalf("matched %d, want 100", len(ms))
-	}
-	// One probe, not 100 comparisons.
-	st := ix.Stats()
-	if st.ConstCompares != 1 {
-		t.Errorf("const compares = %d, want 1 (normalized)", st.ConstCompares)
+	for _, org := range []Organization{OrgMemoryList, OrgMemoryIndex} {
+		for _, n := range []int{10, 100, 1_000} {
+			ix := newIx(t, WithForcedOrganization(org))
+			addConstants(t, ix, "emp.name = 'x'", n, func(int) types.Value { return types.NewString("shared") })
+			if got, want := costOf(t, ix, insertTok("shared", 1, "d")), (probeCost{1, 1, 0, int64(n)}); got != want {
+				t.Errorf("%s N=%d matching probe: cost %+v, want %+v", org, n, got, want)
+			}
+			if got, want := costOf(t, ix, insertTok("other", 1, "d")), (probeCost{1, 1, 0, 0}); got != want {
+				t.Errorf("%s N=%d non-matching probe: cost %+v, want %+v", org, n, got, want)
+			}
+		}
 	}
 }
 
@@ -320,40 +357,46 @@ func TestRemovePredicate(t *testing.T) {
 	}
 }
 
+// TestAdaptiveReorganization grows one class online from 1 to 40
+// constants and checks E12's shape: at every class size the
+// organization the index holds is the one its cost model's Choose
+// prices cheapest. The model's crossovers (list up to 4, hash index up
+// to 20, then the indexed table) put all three in the sweep, and every
+// constant still matches after two migrations.
+//
+// Planted regression: a list threshold tested with < instead of <= in
+// maybeReorganize migrates at 4 constants, and the test fails there
+// with "size 4: org mm-index, cost model chooses mm-list".
 func TestAdaptiveReorganization(t *testing.T) {
 	bp := storage.NewBufferPool(storage.NewMem(), 512)
 	db, err := minisql.Create(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := newIx(t, WithDB(db), WithPolicy(Policy{ListMax: 4, MemMax: 20}))
+	model := DefaultCostModel
+	model.ListPerEntry = 25       // list ≤ hash probe up to (600-500)/25 = 4 constants
+	model.MemoryBudget = 20 * 256 // 20 constants of 256 B fit in memory
+	if p := model.Policy(); p != (Policy{ListMax: 4, MemMax: 20}) {
+		t.Fatalf("model policy = %+v", p)
+	}
+	ix := newIx(t, WithDB(db), WithCostModel(model))
 	mask := EventMask{AnyOp: true}
+	seen := map[Organization]bool{}
 	var entry *SignatureEntry
-	add := func(i uint64) {
+	for i := uint64(1); i <= 40; i++ {
 		sig, consts := buildSig(t, fmt.Sprintf("emp.name = 'u%04d'", i))
 		e, err := ix.AddPredicate(empSrc, mask, sig, consts, refFor(t, sig, consts, i, i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		entry = e
+		if got, want := entry.Organization(), model.Choose(entry.Size()); got != want {
+			t.Fatalf("size %d: org %s, cost model chooses %s", entry.Size(), got, want)
+		}
+		seen[entry.Organization()] = true
 	}
-	for i := uint64(1); i <= 3; i++ {
-		add(i)
-	}
-	if entry.Organization() != OrgMemoryList {
-		t.Fatalf("small class org = %s", entry.Organization())
-	}
-	for i := uint64(4); i <= 15; i++ {
-		add(i)
-	}
-	if entry.Organization() != OrgMemoryIndex {
-		t.Fatalf("medium class org = %s", entry.Organization())
-	}
-	for i := uint64(16); i <= 40; i++ {
-		add(i)
-	}
-	if entry.Organization() != OrgIndexedTable {
-		t.Fatalf("large class org = %s", entry.Organization())
+	if len(seen) != 3 {
+		t.Fatalf("organizations over the sweep = %v, want list, hash index and indexed table", seen)
 	}
 	// All 40 still matchable after two migrations.
 	for _, probe := range []uint64{1, 10, 25, 40} {
@@ -367,9 +410,28 @@ func TestAdaptiveReorganization(t *testing.T) {
 	}
 }
 
+// TestTableOrganizations checks both table organizations (§5.2) for
+// matching, rest tests, range signatures and removal, and then E2's
+// page-read shape: behind an 8-page buffer pool, a probe of the
+// clustered-index table fetches 3 pages at 256 constants and at 4,096,
+// while the scan fetches 6 and 96. The indexed table may grow by at
+// most one fetch per 16× more constants; the scan must grow in
+// proportion to its full pages.
+//
+// Planted regression: an indexed table built without its index
+// (newTableSet called with indexed = false) scans, and the
+// indexed-table case fails with 96 fetches against a bound of 7.
 func TestTableOrganizations(t *testing.T) {
 	for _, org := range []Organization{OrgTable, OrgIndexedTable} {
 		t.Run(org.String(), func(t *testing.T) {
+			small, large := pageFetchesPerProbe(t, org, 256), pageFetchesPerProbe(t, org, 4096)
+			if org == OrgIndexedTable && large > small+1 {
+				t.Errorf("indexed-table page fetches per probe %.1f at 256 constants, %.1f at 4,096: want at most one more", small, large)
+			}
+			if org == OrgTable && large < 16*(small-1) {
+				t.Errorf("table-scan page fetches per probe %.1f at 256 constants, %.1f at 4,096: want at least 16x the full pages", small, large)
+			}
+
 			bp := storage.NewBufferPool(storage.NewMem(), 512)
 			db, _ := minisql.Create(bp)
 			ix := newIx(t, WithDB(db), WithForcedOrganization(org))

@@ -130,8 +130,11 @@ func TestSerialBlockedLowKeepsPriority(t *testing.T) {
 
 // TestDrainToleratesConcurrentSubmits hammers Drain while producers
 // submit: the old WaitGroup-based pending count could panic with
-// "Add called concurrently with Wait" across a zero crossing.
+// "Add called concurrently with Wait" across a zero crossing. Each
+// producer submits a bounded number of tasks, so a machine too busy to
+// run the drivers cannot grow the queue without limit.
 func TestDrainToleratesConcurrentSubmits(t *testing.T) {
+	const perProducer = 20_000
 	p := New(Config{Drivers: 4, T: time.Millisecond, Threshold: time.Millisecond})
 	defer p.Close()
 	stop := make(chan struct{})
@@ -140,7 +143,7 @@ func TestDrainToleratesConcurrentSubmits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for i := 0; i < perProducer; i++ {
 				select {
 				case <-stop:
 					return
