@@ -80,13 +80,6 @@ func (q *faultyDequeue) fault() error {
 	return nil
 }
 
-func (q *faultyDequeue) Dequeue() (datasource.Token, bool, error) {
-	if err := q.fault(); err != nil {
-		return datasource.Token{}, false, err
-	}
-	return q.Queue.Dequeue()
-}
-
 func (q *faultyDequeue) DequeueBatch(max int) ([]datasource.Token, error) {
 	if err := q.fault(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package triggerman
 
 import (
+	"strings"
 	"testing"
 
 	"triggerman/internal/datasource"
@@ -16,7 +17,9 @@ type benchFederation struct{ sys *System }
 
 func (f benchFederation) ClusterMetrics() (string, error) {
 	snaps := map[string]*metrics.Snapshot{"self": f.sys.met.Snapshot()}
-	return metrics.Merge(snaps).Render(), nil
+	var b strings.Builder
+	err := metrics.Merge(snaps).WritePrometheus(&b)
+	return b.String(), err
 }
 
 func (f benchFederation) ClusterSloz() (any, error) { return nil, nil }

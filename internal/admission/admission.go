@@ -176,11 +176,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Enabled reports whether the config imposes any limit at all.
-func (c Config) Enabled() bool {
-	return c.SoftDepth > 0 || c.HardDepth > 0 || c.Rate > 0
-}
-
 // sourceState is one source's bucket, counters, and last state.
 type sourceState struct {
 	mu     sync.Mutex
@@ -332,20 +327,6 @@ func (c *Controller) take(st *sourceState) bool {
 	}
 	st.tokens--
 	return true
-}
-
-// StateOf reports a source's current degradation state. Sources the
-// controller has never seen are admitting.
-func (c *Controller) StateOf(src int32) State {
-	c.mu.RLock()
-	st := c.srcs[src]
-	c.mu.RUnlock()
-	if st == nil {
-		return StateAdmitting
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.state
 }
 
 // Totals reports the controller-wide verdict counters.

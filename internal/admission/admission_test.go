@@ -13,6 +13,19 @@ type fakeDepth struct{ d map[int32]int }
 
 func (f *fakeDepth) fn(src int32) int { return f.d[src] }
 
+// stateOf reads src's degradation state from Snapshot, the view /loadz
+// serves.
+func stateOf(t *testing.T, c *Controller, src int32) State {
+	t.Helper()
+	for _, l := range c.Snapshot(nil) {
+		if l.SourceID == src {
+			return l.State
+		}
+	}
+	t.Fatalf("source %d missing from the snapshot", src)
+	return 0
+}
+
 func TestZeroConfigAdmitsEverything(t *testing.T) {
 	c := New(Config{}, nil)
 	for i := 0; i < 1000; i++ {
@@ -42,7 +55,7 @@ func TestSoftWatermarkShedsOnlyBatch(t *testing.T) {
 	if v, err := c.Admit(7, Interactive); v != VerdictAdmit || err != nil {
 		t.Fatalf("at soft, interactive: %v %v", v, err)
 	}
-	if got := c.StateOf(7); got != StateShedding {
+	if got := stateOf(t, c, 7); got != StateShedding {
 		t.Fatalf("state = %v, want shedding (interactive admit over soft keeps degraded state)", got)
 	}
 }
@@ -66,7 +79,7 @@ func TestHardWatermarkRejectsEverything(t *testing.T) {
 			t.Fatalf("overload detail: %+v", oe)
 		}
 	}
-	if got := c.StateOf(1); got != StateRejecting {
+	if got := stateOf(t, c, 1); got != StateRejecting {
 		t.Fatalf("state = %v, want rejecting", got)
 	}
 	// Recovery: depth drains, source admits again.
@@ -74,7 +87,7 @@ func TestHardWatermarkRejectsEverything(t *testing.T) {
 	if v, err := c.Admit(1, Batch); v != VerdictAdmit || err != nil {
 		t.Fatalf("after drain: %v %v", v, err)
 	}
-	if got := c.StateOf(1); got != StateAdmitting {
+	if got := stateOf(t, c, 1); got != StateAdmitting {
 		t.Fatalf("state after drain = %v, want admitting", got)
 	}
 }

@@ -588,11 +588,6 @@ func (t *BTree) Scan(start []byte, fn func(key []byte, val uint64) bool) error {
 	}
 }
 
-// ScanAll iterates the whole tree in order.
-func (t *BTree) ScanAll(fn func(key []byte, val uint64) bool) error {
-	return t.Scan(nil, fn)
-}
-
 // scanFrom walks leaves from (page p pinned, index idx) onward.
 func (t *BTree) scanFrom(p *storage.Page, id storage.PageID, idx int, fn func([]byte, uint64) bool) error {
 	for {

@@ -93,7 +93,7 @@ func TestSplitsAndOrder(t *testing.T) {
 	// Full scan must be sorted and complete.
 	var got []uint64
 	var prevKey []byte
-	err = tr.ScanAll(func(k []byte, v uint64) bool {
+	err = tr.Scan(nil, func(k []byte, v uint64) bool {
 		if prevKey != nil && bytes.Compare(prevKey, k) > 0 {
 			t.Fatalf("out of order at %d", v)
 		}
@@ -212,7 +212,7 @@ func TestVariableLengthStringKeys(t *testing.T) {
 	}
 	sort.Strings(words)
 	i := 0
-	tr.ScanAll(func(k []byte, v uint64) bool {
+	tr.Scan(nil, func(k []byte, v uint64) bool {
 		i++
 		return true
 	})

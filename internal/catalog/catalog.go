@@ -171,15 +171,6 @@ func New(cfg Config) (*Catalog, error) {
 // Cache exposes the trigger cache (stats for experiments).
 func (c *Catalog) Cache() *cache.Sharded { return c.tcache }
 
-// DB exposes the embedded database.
-func (c *Catalog) DB() *minisql.DB { return c.db }
-
-// PredIndex exposes the predicate index.
-func (c *Catalog) PredIndex() *predindex.Index { return c.pidx }
-
-// Registry exposes the data source registry.
-func (c *Catalog) Registry() *datasource.Registry { return c.reg }
-
 func (c *Catalog) ensureTables() error {
 	get := func(name string, schema *types.Schema, indexCols ...string) (*minisql.Table, error) {
 		if t, err := c.db.Table(name); err == nil {

@@ -79,11 +79,11 @@ func TestCreateTriggerPipeline(t *testing.T) {
 		t.Error("case-insensitive lookup")
 	}
 	// One signature registered on the source.
-	if n := c.PredIndex().SignatureCount(src.ID); n != 1 {
+	if n := c.pidx.SignatureCount(src.ID); n != 1 {
 		t.Errorf("signatures = %d", n)
 	}
 	// The expression_signature catalog table has a row.
-	res, err := c.DB().Exec("select sigid, constantsetsize from expression_signature")
+	res, err := c.db.Exec("select sigid, constantsetsize from expression_signature")
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("sig rows = %v, %v", res, err)
 	}
@@ -101,7 +101,7 @@ func TestSignatureRowTracksSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, _ := c.DB().Exec("select constantsetsize from expression_signature")
+	res, _ := c.db.Exec("select constantsetsize from expression_signature")
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 5 {
 		t.Errorf("sig rows = %v", res.Rows)
 	}
@@ -181,7 +181,7 @@ func TestDropTriggerCleansUp(t *testing.T) {
 	c := newCatalog(t, storage.NewMem(), 16)
 	src := withEmp(t, c)
 	info, _ := c.CreateTrigger(`create trigger gone from emp when emp.name = 'x' do raise event E()`)
-	entry := c.PredIndex().Signatures(src.ID)[0]
+	entry := c.pidx.Signatures(src.ID)[0]
 	if entry.Size() != 1 {
 		t.Fatal("predicate not registered")
 	}
@@ -201,7 +201,7 @@ func TestDropTriggerCleansUp(t *testing.T) {
 		t.Error("double drop")
 	}
 	// Row gone from the catalog table.
-	res, _ := c.DB().Exec("select * from trigger")
+	res, _ := c.db.Exec("select * from trigger")
 	if len(res.Rows) != 0 {
 		t.Errorf("trigger rows = %d", len(res.Rows))
 	}
@@ -292,8 +292,8 @@ func TestRecoveryAcrossRestart(t *testing.T) {
 		t.Error("disabled flag lost in recovery")
 	}
 	// The predicate is re-registered.
-	src, _ := c2.Registry().ByName("emp")
-	if n := c2.PredIndex().SignatureCount(src.ID); n != 1 {
+	src, _ := c2.reg.ByName("emp")
+	if n := c2.pidx.SignatureCount(src.ID); n != 1 {
 		t.Errorf("recovered signatures = %d", n)
 	}
 	// Sets recovered.
@@ -343,7 +343,7 @@ func TestEventMaskMapping(t *testing.T) {
 	if _, err := c.CreateTrigger(`create trigger u from emp on update(emp.salary) when emp.salary > 0 do raise event E()`); err != nil {
 		t.Fatal(err)
 	}
-	entries := c.PredIndex().Signatures(src.ID)
+	entries := c.pidx.Signatures(src.ID)
 	if len(entries) != 1 {
 		t.Fatalf("signatures = %d", len(entries))
 	}

@@ -250,12 +250,7 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 	if multiVar {
 		vars := make([]discrim.Var, len(ct.From))
 		for i, f := range ct.From {
-			vars[i] = discrim.Var{
-				Name:      f.Var(),
-				SourceID:  sources[i].ID,
-				Kind:      discrim.Stored,
-				Selection: selections[i],
-			}
+			vars[i] = discrim.Var{Name: f.Var(), SourceID: sources[i].ID}
 		}
 		if c.useGator {
 			info.gator, err = discrim.NewGreedyGator(info.ID, vars, edges, catchAll, nil)

@@ -192,9 +192,6 @@ func (n *Node) countPeers(up bool) int64 {
 	return c
 }
 
-// Self returns this node's member identity.
-func (n *Node) Self() Member { return n.cfg.Self }
-
 // PeerUp reports whether peer id is currently marked healthy (false
 // for unknown ids). Harnesses poll it to sequence restarts.
 func (n *Node) PeerUp(id string) bool {
@@ -204,9 +201,6 @@ func (n *Node) PeerUp(id string) bool {
 
 // Ring returns the placement ring (immutable).
 func (n *Node) Ring() *Ring { return n.ring }
-
-// System returns the wrapped trigger system.
-func (n *Node) System() *triggerman.System { return n.sys }
 
 // Serve starts accepting wire connections on ln, answering handshakes
 // with this node's id.

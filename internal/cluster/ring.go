@@ -28,8 +28,8 @@ type point struct {
 
 // Ring maps source names onto member nodes by consistent hashing.
 // Replication-free v1: each source is owned by exactly one node. A
-// Ring is immutable — Add and Remove return new rings — so hot-path
-// Owner lookups need no locking.
+// Ring is immutable — a membership change builds a new one with
+// NewRing — so hot-path Owner lookups need no locking.
 type Ring struct {
 	vnodes  int
 	members []string // sorted, deduplicated
@@ -112,20 +112,3 @@ func (r *Ring) Members() []string {
 
 // Size reports the member count.
 func (r *Ring) Size() int { return len(r.members) }
-
-// Add returns a new ring with member added (no-op copy if present).
-func (r *Ring) Add(member string) *Ring {
-	return NewRing(append(r.Members(), member), r.vnodes)
-}
-
-// Remove returns a new ring with member removed (no-op copy if
-// absent).
-func (r *Ring) Remove(member string) *Ring {
-	kept := make([]string, 0, len(r.members))
-	for _, m := range r.members {
-		if m != member {
-			kept = append(kept, m)
-		}
-	}
-	return NewRing(kept, r.vnodes)
-}

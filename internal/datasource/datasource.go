@@ -268,9 +268,6 @@ func (r *Registry) Names() []string {
 type Queue interface {
 	// Enqueue appends a token, assigning its sequence number.
 	Enqueue(t Token) (Token, error)
-	// Dequeue removes and returns the oldest token; ok is false when the
-	// queue is empty.
-	Dequeue() (Token, bool, error)
 	// DequeueBatch removes and returns up to max tokens in queue order
 	// (max <= 0 means "whatever one scan yields"). An empty result with
 	// a nil error means the queue is empty. A non-empty result with a
@@ -317,17 +314,6 @@ func (q *MemQueue) Enqueue(t Token) (Token, error) {
 	q.q.Push(t)
 	depthAdd(q.depths, t.SourceID, 1)
 	return t, nil
-}
-
-// Dequeue implements Queue.
-func (q *MemQueue) Dequeue() (Token, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	t, ok := q.q.Pop()
-	if ok {
-		depthAdd(q.depths, t.SourceID, -1)
-	}
-	return t, ok, nil
 }
 
 // DequeueBatch implements Queue.
@@ -384,6 +370,9 @@ type TableQueue struct {
 	// durable forces every enqueue's page to stable storage before the
 	// call returns — "the safety of persistent update queuing" (§3).
 	durable bool
+	// tail is the heap's last page. A token that lands on a new page
+	// also rewrote tail's link to it, so a durable enqueue flushes both.
+	tail storage.PageID
 	// cursor remembers where the last dequeue stopped so repeated
 	// dequeues do not rescan drained pages.
 	cursor storage.RID
@@ -417,9 +406,11 @@ func (q *TableQueue) FlushRounds() int64 { return q.commit.rounds.Load() }
 // DurableEnqueues reports durable enqueues served by group commit.
 func (q *TableQueue) DurableEnqueues() int64 { return q.commit.enqueues.Load() }
 
-// flushGroup makes page durable, coalescing with concurrent callers.
-// The caller must not hold q.mu.
-func (q *TableQueue) flushGroup(page storage.PageID) error {
+// flushGroup makes page and link durable, coalescing with concurrent
+// callers; link is the page whose next-page link leads to page, clean
+// (and so skipped) unless page was just added to the chain. The caller
+// must not hold q.mu.
+func (q *TableQueue) flushGroup(page, link storage.PageID) error {
 	g := &q.commit
 	g.enqueues.Add(1)
 	g.mu.Lock()
@@ -427,6 +418,7 @@ func (q *TableQueue) flushGroup(page storage.PageID) error {
 		g.dirty = make(map[storage.PageID]struct{})
 	}
 	g.dirty[page] = struct{}{}
+	g.dirty[link] = struct{}{}
 	if g.flushing {
 		// Follower: the leader's next round claims our page and waiter
 		// together, so the error we get back covers our page.
@@ -445,7 +437,7 @@ func (q *TableQueue) flushGroup(page storage.PageID) error {
 		g.mu.Unlock()
 
 		// The pages are copied out under the lock that guards the heap: a
-		// concurrent Enqueue or Dequeue rewrites these same pages in place,
+		// concurrent Enqueue or DequeueBatch rewrites these same pages in place,
 		// and a write-back racing it could put a torn image on disk and
 		// then mark the frame clean.
 		var err error
@@ -491,7 +483,7 @@ func NewTableQueue(bp *storage.BufferPool) (*TableQueue, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TableQueue{heap: h, bp: bp, depths: make(map[int32]int)}, nil
+	return &TableQueue{heap: h, bp: bp, tail: h.LastPage(), depths: make(map[int32]int)}, nil
 }
 
 // OpenTableQueue reopens a persistent queue by its first page.
@@ -500,7 +492,7 @@ func OpenTableQueue(bp *storage.BufferPool, first storage.PageID) (*TableQueue, 
 	if err != nil {
 		return nil, err
 	}
-	q := &TableQueue{heap: h, bp: bp, depths: make(map[int32]int)}
+	q := &TableQueue{heap: h, bp: bp, tail: h.LastPage(), depths: make(map[int32]int)}
 	// Restore the sequence counter and per-source depths from the
 	// surviving tokens.
 	err = h.Scan(func(_ storage.RID, rec []byte) bool {
@@ -518,9 +510,6 @@ func OpenTableQueue(bp *storage.BufferPool, first storage.PageID) (*TableQueue, 
 	return q, nil
 }
 
-// FirstPage returns the queue heap's identity page.
-func (q *TableQueue) FirstPage() storage.PageID { return q.heap.FirstPage() }
-
 // Enqueue implements Queue. The heap insert happens under the queue
 // lock; the durability flush goes through the commit group after it is
 // released, so concurrent enqueues coalesce their disk waits.
@@ -532,7 +521,9 @@ func (q *TableQueue) Enqueue(t Token) (Token, error) {
 	q.seq++
 	t.Seq = q.seq
 	rid, err := q.heap.Insert(t.AppendTo(buf[:0]))
+	link := q.tail
 	if err == nil {
+		q.tail = rid.Page
 		depthAdd(q.depths, t.SourceID, 1)
 	}
 	durable := q.durable
@@ -541,20 +532,11 @@ func (q *TableQueue) Enqueue(t Token) (Token, error) {
 		return Token{}, err
 	}
 	if durable {
-		if err := q.flushGroup(rid.Page); err != nil {
+		if err := q.flushGroup(rid.Page, link); err != nil {
 			return Token{}, err
 		}
 	}
 	return t, nil
-}
-
-// Dequeue implements Queue. Tokens come back in heap (insertion) order.
-func (q *TableQueue) Dequeue() (Token, bool, error) {
-	batch, err := q.DequeueBatch(1)
-	if len(batch) == 0 {
-		return Token{}, false, err
-	}
-	return batch[0], true, err
 }
 
 // DequeueBatch implements Queue. One call drains up to max tokens from

@@ -157,10 +157,11 @@ func TestMemQueueFIFO(t *testing.T) {
 		t.Errorf("len = %d", q.Len())
 	}
 	for i := int64(0); i < 100; i++ {
-		got, ok, err := q.Dequeue()
-		if err != nil || !ok {
+		batch, err := q.DequeueBatch(1)
+		if err != nil || len(batch) != 1 {
 			t.Fatal("dequeue failed")
 		}
+		got := batch[0]
 		if got.New.Get(0).Int() != i {
 			t.Fatalf("order broken at %d: %v", i, got)
 		}
@@ -168,8 +169,8 @@ func TestMemQueueFIFO(t *testing.T) {
 			t.Fatalf("seq = %d", got.Seq)
 		}
 	}
-	if _, ok, _ := q.Dequeue(); ok {
-		t.Error("empty queue should report !ok")
+	if batch, _ := q.DequeueBatch(1); len(batch) != 0 {
+		t.Error("empty queue should return no tokens")
 	}
 	if q.Len() != 0 {
 		t.Error("len after drain")
@@ -182,14 +183,14 @@ func TestMemQueueSlideReclaim(t *testing.T) {
 		q.Enqueue(tok(1, OpInsert, i))
 	}
 	for i := int64(0); i < 9000; i++ {
-		q.Dequeue()
+		q.DequeueBatch(1)
 	}
 	// Interleave to exercise the slide path.
 	q.Enqueue(tok(1, OpInsert, 99999))
 	n := 0
 	for {
-		_, ok, _ := q.Dequeue()
-		if !ok {
+		batch, _ := q.DequeueBatch(1)
+		if len(batch) == 0 {
 			break
 		}
 		n++
@@ -213,9 +214,9 @@ func TestTableQueuePersistsAndFIFO(t *testing.T) {
 	}
 	// Drain half.
 	for i := int64(0); i < 250; i++ {
-		got, ok, err := q.Dequeue()
-		if err != nil || !ok || got.New.Get(0).Int() != i {
-			t.Fatalf("dequeue %d: %v %v %v", i, got, ok, err)
+		got, err := q.DequeueBatch(1)
+		if err != nil || len(got) != 1 || got[0].New.Get(0).Int() != i {
+			t.Fatalf("dequeue %d: %v %v", i, got, err)
 		}
 	}
 	if q.Len() != 250 {
@@ -225,15 +226,15 @@ func TestTableQueuePersistsAndFIFO(t *testing.T) {
 
 	// Crash-restart: reopen from disk; the 250 unconsumed tokens remain.
 	bp2 := storage.NewBufferPool(disk, 32)
-	q2, err := OpenTableQueue(bp2, q.FirstPage())
+	q2, err := OpenTableQueue(bp2, q.heap.FirstPage())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q2.Len() != 250 {
 		t.Fatalf("reopened len = %d", q2.Len())
 	}
-	got, ok, err := q2.Dequeue()
-	if err != nil || !ok || got.New.Get(0).Int() != 250 {
+	got, err := q2.DequeueBatch(1)
+	if err != nil || len(got) != 1 || got[0].New.Get(0).Int() != 250 {
 		t.Fatalf("first after reopen = %v", got)
 	}
 	// Sequence numbers continue from the persisted max.
@@ -244,11 +245,11 @@ func TestTableQueuePersistsAndFIFO(t *testing.T) {
 	// Drain fully.
 	n := 0
 	for {
-		_, ok, err := q2.Dequeue()
+		batch, err := q2.DequeueBatch(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if len(batch) == 0 {
 			break
 		}
 		n++
@@ -269,12 +270,12 @@ func TestTableQueueInterleaved(t *testing.T) {
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			got, ok, err := q.Dequeue()
-			if err != nil || !ok {
+			got, err := q.DequeueBatch(1)
+			if err != nil || len(got) != 1 {
 				t.Fatal("dequeue")
 			}
-			if got.New.Get(0).Int() != want {
-				t.Fatalf("order: got %d want %d", got.New.Get(0).Int(), want)
+			if v := got[0].New.Get(0).Int(); v != want {
+				t.Fatalf("order: got %d want %d", v, want)
 			}
 			want++
 		}
@@ -290,7 +291,7 @@ func BenchmarkMemQueue(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Enqueue(t)
-		q.Dequeue()
+		q.DequeueBatch(1)
 	}
 }
 
@@ -304,7 +305,7 @@ func BenchmarkTableQueue(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Enqueue(t)
-		if _, ok, _ := q.Dequeue(); !ok {
+		if batch, _ := q.DequeueBatch(1); len(batch) == 0 {
 			b.Fatal("empty")
 		}
 	}
@@ -325,20 +326,20 @@ func TestDurableQueueFlushesPerEnqueue(t *testing.T) {
 	// WITHOUT any explicit flush, a fresh pool over the same disk must
 	// already see the token (the enqueue itself reached the disk).
 	bp2 := storage.NewBufferPool(disk, 32)
-	q2, err := OpenTableQueue(bp2, q.FirstPage())
+	q2, err := OpenTableQueue(bp2, q.heap.FirstPage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := q2.Dequeue()
-	if err != nil || !ok || got.New.Get(0).Int() != 7 {
-		t.Fatalf("durable token lost: %v %v %v", got, ok, err)
+	got, err := q2.DequeueBatch(1)
+	if err != nil || len(got) != 1 || got[0].New.Get(0).Int() != 7 {
+		t.Fatalf("durable token lost: %v %v", got, err)
 	}
 	// Non-durable enqueues are only in the buffer pool: a fresh pool
 	// does not see them before a flush.
 	q.SetDurable(false)
 	q.Enqueue(tok(1, OpInsert, 8))
 	bp3 := storage.NewBufferPool(disk, 32)
-	q3, _ := OpenTableQueue(bp3, q.FirstPage())
+	q3, _ := OpenTableQueue(bp3, q.heap.FirstPage())
 	if n := q3.Len(); n != 1 {
 		t.Fatalf("expected only the durable token on disk, found %d", n)
 	}
@@ -419,7 +420,7 @@ func TestGroupCommitCoalescesConcurrentEnqueues(t *testing.T) {
 	// Every token survives a crash-restart: group commit must not trade
 	// away the durability contract.
 	bp2 := storage.NewBufferPool(disk, 32)
-	q2, err := OpenTableQueue(bp2, q.FirstPage())
+	q2, err := OpenTableQueue(bp2, q.heap.FirstPage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,9 +552,9 @@ func TestTableQueueBatchThenSingleDequeueAgree(t *testing.T) {
 	if err != nil || len(batch) != 5 {
 		t.Fatalf("batch = %v, %v", batch, err)
 	}
-	got, ok, err := q.Dequeue()
-	if err != nil || !ok || got.New.Get(0).Int() != 5 {
-		t.Fatalf("single dequeue after batch = %v %v %v", got, ok, err)
+	got, err := q.DequeueBatch(1)
+	if err != nil || len(got) != 1 || got[0].New.Get(0).Int() != 5 {
+		t.Fatalf("single dequeue after batch = %v %v", got, err)
 	}
 }
 
@@ -631,7 +632,7 @@ func TestSourceDepthTracksPerSource(t *testing.T) {
 		if d := q.SourceDepth(99); d != 0 {
 			t.Fatalf("%s: unknown source depth = %d", name, d)
 		}
-		if _, ok, _ := q.Dequeue(); !ok {
+		if batch, _ := q.DequeueBatch(1); len(batch) != 1 {
 			t.Fatalf("%s: dequeue failed", name)
 		}
 		if d := q.SourceDepth(1); d != 5 {
@@ -663,7 +664,7 @@ func TestSourceDepthSurvivesReopen(t *testing.T) {
 	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := OpenTableQueue(storage.NewBufferPool(disk, 32), q.FirstPage())
+	q2, err := OpenTableQueue(storage.NewBufferPool(disk, 32), q.heap.FirstPage())
 	if err != nil {
 		t.Fatal(err)
 	}

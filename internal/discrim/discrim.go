@@ -11,9 +11,9 @@
 // Selection predicates live *above* the network in the predicate index;
 // a token reaches a network node only after its selection predicate
 // matched (the nextNetworkNode field of the matched expression).
-// A-TREAT's refinement over TREAT — virtual alpha memories that
-// re-derive their contents from a base table instead of storing them —
-// is supported through the Virtual memory kind.
+// Every alpha memory is stored; A-TREAT's virtual alpha memories, which
+// re-derive their contents from a base table, are not built: every
+// source the system defines may be a stream, which no table backs.
 package discrim
 
 import (
@@ -23,25 +23,12 @@ import (
 
 	"triggerman/internal/datasource"
 	"triggerman/internal/expr"
-	"triggerman/internal/minisql"
-	"triggerman/internal/storage"
 	"triggerman/internal/types"
-)
-
-// MemoryKind selects how an alpha memory holds its matching tuples.
-type MemoryKind uint8
-
-const (
-	// Stored keeps matching tuples in a main-memory bag (TREAT default).
-	Stored MemoryKind = iota
-	// Virtual stores only the selection predicate and scans the backing
-	// table on demand (A-TREAT's virtual alpha node).
-	Virtual
 )
 
 // instance is one tuple held by a memory. Duplicate rows are distinct
 // instances, told apart by serial: Gator's partial joins name instances
-// by serial; A-TREAT ignores it. A stored memory's instance is its slot's
+// by serial; A-TREAT ignores it. A memory's instance is its slot's
 // row, valid only while the memory's lock is held (see memory).
 type instance struct {
 	serial uint64
@@ -291,16 +278,8 @@ type Var struct {
 	Name string
 	// SourceID is the data source feeding this variable.
 	SourceID int32
-	// Kind selects stored or virtual alpha memory.
-	Kind MemoryKind
-	// Table backs a Virtual memory (required when Kind == Virtual).
-	Table *minisql.Table
-	// Selection is the variable's bound selection predicate, used by
-	// virtual memories to filter the base table. May be empty.
-	Selection expr.CNF
 
-	mem       *memory   // a stored memory
-	selection expr.Node // a virtual memory's Selection, built once
+	mem *memory
 }
 
 // JoinEdge is one edge of the trigger condition graph (§5.1 step 3): a
@@ -426,9 +405,9 @@ type Network struct {
 	catchAll []expr.Node
 }
 
-// step binds one variable of a join plan: its memory (or, for a virtual
-// memory, its table) is probed or scanned, and each candidate is tested
-// against the predicates of the edges to the variables bound before it.
+// step binds one variable of a join plan: its memory is probed or
+// scanned, and each candidate is tested against the predicates of the
+// edges to the variables bound before it.
 type step struct {
 	v     int
 	probe probe
@@ -459,14 +438,7 @@ func NewNetworkOpts(triggerID uint64, vars []Var, edges []JoinEdge, catchAll exp
 		return nil, err
 	}
 	for i := range n.Vars {
-		switch v := &n.Vars[i]; {
-		case v.Kind == Stored:
-			v.mem = new(memory)
-		case v.Table == nil:
-			return nil, fmt.Errorf("discrim: virtual memory for %q needs a backing table", v.Name)
-		default:
-			v.selection = v.Selection.Node()
-		}
+		n.Vars[i].mem = new(memory)
 	}
 	n.plans = make([][]step, len(vars))
 	for seed := range vars {
@@ -474,7 +446,7 @@ func NewNetworkOpts(triggerID uint64, vars []Var, edges []JoinEdge, catchAll exp
 		bound[seed] = true
 		for _, vi := range bindOrder(seed, adj, edges) {
 			st := step{v: vi, probe: scanAll}
-			if at, by, ok := equiProbe(adj[vi], equis, []int{vi}, bound); ok && n.Vars[vi].Kind == Stored {
+			if at, by, ok := equiProbe(adj[vi], equis, []int{vi}, bound); ok {
 				st.probe = probe{n.Vars[vi].mem.idx.slot(at.col), by}
 			}
 			for _, ei := range adj[vi] {
@@ -512,34 +484,28 @@ func bindOrder(seed int, adj [][]int, edges []JoinEdge) []int {
 	return order[1:]
 }
 
-// MemorySize reports the stored-memory cardinality of variable i
-// (0 for virtual memories).
+// MemorySize reports the cardinality of variable i's memory.
 func (n *Network) MemorySize(i int) int {
-	if n.Vars[i].Kind != Stored {
-		return 0
-	}
 	return n.Vars[i].mem.len()
 }
 
-// AddTuple inserts a tuple into variable v's stored memory (no-op for
-// virtual memories, whose contents derive from the base table).
+// AddTuple inserts a tuple into variable v's memory.
 func (n *Network) AddTuple(v int, tu types.Tuple) error {
 	if v < 0 || v >= len(n.Vars) {
 		return fmt.Errorf("discrim: variable %d out of range", v)
 	}
-	if n.Vars[v].Kind == Stored && tu != nil {
+	if tu != nil {
 		n.Vars[v].mem.add(tu)
 	}
 	return nil
 }
 
-// RemoveTuple removes one instance of a tuple from variable v's stored
-// memory.
+// RemoveTuple removes one instance of a tuple from variable v's memory.
 func (n *Network) RemoveTuple(v int, tu types.Tuple) error {
 	if v < 0 || v >= len(n.Vars) {
 		return fmt.Errorf("discrim: variable %d out of range", v)
 	}
-	if n.Vars[v].Kind == Stored && tu != nil {
+	if tu != nil {
 		n.Vars[v].mem.remove(tu)
 	}
 	return nil
@@ -596,20 +562,18 @@ func (n *Network) NotifyToken(v int, tok datasource.Token, pnode PNode) error {
 	if v < 0 || v >= len(n.Vars) {
 		return fmt.Errorf("discrim: variable %d out of range", v)
 	}
-	if va := &n.Vars[v]; va.Kind == Stored {
-		switch tok.Op {
-		case datasource.OpInsert:
-			va.mem.add(tok.New)
-		case datasource.OpDelete:
-			if va.mem.remove(tok.Old) == 0 {
-				// Phantom delete: the tuple was never in the memory, so
-				// no combination ceased to exist.
-				return nil
-			}
-		case datasource.OpUpdate:
-			va.mem.remove(tok.Old)
-			va.mem.add(tok.New)
+	switch mem := n.Vars[v].mem; tok.Op {
+	case datasource.OpInsert:
+		mem.add(tok.New)
+	case datasource.OpDelete:
+		if mem.remove(tok.Old) == 0 {
+			// Phantom delete: the tuple was never in the memory, so no
+			// combination ceased to exist.
+			return nil
 		}
+	case datasource.OpUpdate:
+		mem.remove(tok.Old)
+		mem.add(tok.New)
 	}
 	sc := scratches.Get().(*Scratch)
 	defer scratches.Put(sc)
@@ -647,19 +611,7 @@ func (j *join) extend(steps []step) {
 		}
 		return !j.stop
 	}
-	if v := &j.n.Vars[st.v]; v.Kind == Stored {
-		v.mem.scan(st.probe, combo, bind)
-	} else if err := v.Table.Scan(func(_ storage.RID, tu types.Tuple) bool {
-		// Virtual memory: re-apply the selection predicate.
-		if v.selection != nil {
-			if ok, err := expr.EvalPredicate(v.selection, expr.SingleEnv{New: tu}); ok != expr.True || err != nil {
-				return j.fail(err)
-			}
-		}
-		return bind(instance{tuple: tu})
-	}); err != nil {
-		j.fail(err)
-	}
+	j.n.Vars[st.v].mem.scan(st.probe, combo, bind)
 	combo[st.v] = nil
 }
 
@@ -690,16 +642,4 @@ func allHold(preds []expr.Node, env *expr.MultiEnv) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// SeedMemory preloads variable i's stored memory (used when a trigger is
-// created over existing table contents, and by tests).
-func (n *Network) SeedMemory(i int, tuples []types.Tuple) error {
-	if n.Vars[i].Kind != Stored {
-		return fmt.Errorf("discrim: cannot seed virtual memory %d", i)
-	}
-	for _, tu := range tuples {
-		n.Vars[i].mem.add(tu)
-	}
-	return nil
 }

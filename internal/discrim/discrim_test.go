@@ -14,9 +14,7 @@ import (
 
 	"triggerman/internal/datasource"
 	"triggerman/internal/expr"
-	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
-	"triggerman/internal/storage"
 	"triggerman/internal/types"
 )
 
@@ -242,65 +240,6 @@ func TestCatchAllPredicate(t *testing.T) {
 	}
 }
 
-func TestVirtualAlphaMemory(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMem(), 64)
-	db, _ := minisql.Create(bp)
-	tab, err := db.CreateTable("salesperson", spSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab.Insert(sp(7, "Iris"))
-	tab.Insert(sp(8, "Ivan"))
-
-	// Selection s.name = 'Iris' applied by the virtual memory.
-	sel := bindSingleVar(t, "name = 'Iris'", spSchema)
-	vars := []Var{
-		{Name: "s", SourceID: 1, Kind: Virtual, Table: tab, Selection: sel},
-		{Name: "r", SourceID: 3},
-	}
-	edges := []JoinEdge{{A: 0, B: 1, Pred: bindTwo(t, "s.spno = r.spno", spSchema, repSchema)}}
-	n, err := NewNetwork(9, vars, edges, expr.CNF{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Token on r joins against the table contents, filtered to Iris.
-	got := collect(t, n, 1, insertTok(3, rep(7, 2)))
-	if len(got) != 1 || got[0].Tuples[0].Get(1).Str() != "Iris" {
-		t.Fatalf("virtual join = %+v", got)
-	}
-	// Ivan's row exists but fails the virtual selection.
-	if got := collect(t, n, 1, insertTok(3, rep(8, 2))); len(got) != 0 {
-		t.Errorf("virtual selection leaked: %+v", got)
-	}
-	// Rows added to the table later are visible without memory updates —
-	// the A-TREAT virtue.
-	tab.Insert(sp(9, "Iris"))
-	if got := collect(t, n, 1, insertTok(3, rep(9, 1))); len(got) != 1 {
-		t.Errorf("virtual memory missed new row: %+v", got)
-	}
-}
-
-func bindSingleVar(t *testing.T, src string, schema *types.Schema) expr.CNF {
-	t.Helper()
-	n, err := parser.ParseExpr(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &expr.Binder{
-		VarIndex:    map[string]int{},
-		DefaultVar:  0,
-		ColumnIndex: func(_ int, col string) int { return schema.ColumnIndex(col) },
-	}
-	if err := b.Bind(n); err != nil {
-		t.Fatal(err)
-	}
-	cnf, err := expr.ToCNF(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cnf
-}
-
 func bindTwo(t *testing.T, src string, s0, s1 *types.Schema) expr.CNF {
 	t.Helper()
 	n, err := parser.ParseExpr(src)
@@ -326,9 +265,6 @@ func bindTwo(t *testing.T, src string, s0, s1 *types.Schema) expr.CNF {
 func TestNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(1, []Var{{Name: "a"}}, []JoinEdge{{A: 0, B: 5}}, expr.CNF{}); err == nil {
 		t.Error("bad edge should fail")
-	}
-	if _, err := NewNetwork(1, []Var{{Name: "a", Kind: Virtual}}, nil, expr.CNF{}); err == nil {
-		t.Error("virtual without table should fail")
 	}
 	n, _ := NewNetwork(1, []Var{{Name: "a"}}, nil, expr.CNF{})
 	if err := n.NotifyToken(5, datasource.Token{}, nil); err == nil {
@@ -361,23 +297,6 @@ func TestEarlyStopEnumeration(t *testing.T) {
 	})
 	if count != 5 {
 		t.Errorf("early stop saw %d", count)
-	}
-}
-
-func TestSeedMemory(t *testing.T) {
-	n := irisNetwork(t)
-	if err := n.SeedMemory(0, []types.Tuple{sp(7, "Iris")}); err != nil {
-		t.Fatal(err)
-	}
-	if n.MemorySize(0) != 1 {
-		t.Error("seeded size")
-	}
-	bp := storage.NewBufferPool(storage.NewMem(), 8)
-	db, _ := minisql.Create(bp)
-	tab, _ := db.CreateTable("x", spSchema)
-	vn, _ := NewNetwork(2, []Var{{Name: "v", Kind: Virtual, Table: tab}}, nil, expr.CNF{})
-	if err := vn.SeedMemory(0, nil); err == nil {
-		t.Error("seeding virtual memory should fail")
 	}
 }
 

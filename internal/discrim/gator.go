@@ -204,9 +204,6 @@ func NewGatorNetwork(triggerID uint64, vars []Var, edges []JoinEdge, catchAll ex
 	}
 	g.leaves = make([]*gnode, len(vars))
 	for i := range g.Vars {
-		if v := &g.Vars[i]; v.Kind == Virtual {
-			return nil, fmt.Errorf("discrim: gator networks require stored memories (variable %q)", v.Name)
-		}
 		g.Vars[i].mem = new(memory)
 		g.leaves[i] = &gnode{leafVar: i, span: []int{i}}
 	}

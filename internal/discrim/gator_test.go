@@ -51,12 +51,6 @@ func TestGatorShapeValidation(t *testing.T) {
 		NodeShape(LeafShape(0), LeafShape(9), LeafShape(2))); err == nil {
 		t.Error("leaf out of range should fail")
 	}
-	// Virtual memories are rejected.
-	vv := gatorVars()
-	vv[0].Kind = Virtual
-	if _, err := NewGreedyGator(1, vv, edges, expr.CNF{}, nil); err == nil {
-		t.Error("virtual memory should be rejected")
-	}
 	// Valid shapes: left-deep, right-deep, bushy ternary.
 	for _, shape := range []*Shape{
 		NodeShape(NodeShape(LeafShape(0), LeafShape(2)), LeafShape(1)),

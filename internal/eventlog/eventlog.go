@@ -73,15 +73,6 @@ func New(cfg Config) *Log {
 	return l
 }
 
-// Logger exposes the slog.Logger (embedders may attach their own
-// attrs or groups; records still land in the ring).
-func (l *Log) Logger() *slog.Logger {
-	if l == nil {
-		return slog.New(discardHandler{})
-	}
-	return l.logger
-}
-
 // Emit records one event at Info level.
 func (l *Log) Emit(event string, args ...any) {
 	if l == nil {
@@ -222,11 +213,3 @@ func flattenAttr(dst map[string]any, prefix string, a slog.Attr) {
 	}
 	dst[key] = a.Value.Any()
 }
-
-// discardHandler backs the nil-receiver Logger().
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }

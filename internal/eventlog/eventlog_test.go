@@ -86,7 +86,7 @@ func TestLevelFiltering(t *testing.T) {
 
 func TestGroupsAndWithAttrsFlatten(t *testing.T) {
 	l := New(Config{Ring: 8})
-	l.Logger().With("component", "predindex").WithGroup("cost").Info("reorganize",
+	l.logger.With("component", "predindex").WithGroup("cost").Info("reorganize",
 		"old_ns", 510.0, slog.Group("new", "ns", 600.0))
 	recs := l.Recent()
 	if len(recs) != 1 {
@@ -108,7 +108,6 @@ func TestNilLogSafe(t *testing.T) {
 	var l *Log
 	l.Emit("ignored")
 	l.Warn("ignored")
-	l.Logger().Info("ignored")
 	if l.Recent() != nil || l.Total() != 0 {
 		t.Fatal("nil log must be inert")
 	}

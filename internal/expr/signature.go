@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"triggerman/internal/types"
@@ -91,13 +90,6 @@ func (s *Signature) Indexability() Indexability {
 // Canonical returns the normalized text of the generalized expression.
 // Signatures are equal iff their canonical forms are equal.
 func (s *Signature) Canonical() string { return s.canonical }
-
-// Hash returns a stable hash of the canonical form.
-func (s *Signature) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s.canonical))
-	return h.Sum64()
-}
 
 // String implements fmt.Stringer.
 func (s *Signature) String() string { return s.canonical }

@@ -36,9 +36,6 @@ func TestSignatureEquivalenceClass(t *testing.T) {
 	if s1.Canonical() != s2.Canonical() {
 		t.Errorf("same-shape signatures differ: %q vs %q", s1, s2)
 	}
-	if s1.Hash() != s2.Hash() {
-		t.Error("equal signatures hash differently")
-	}
 	if s1.Canonical() == s3.Canonical() {
 		t.Error("> and = should have different signatures")
 	}

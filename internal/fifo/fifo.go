@@ -1,7 +1,7 @@
 // Package fifo provides the slice-backed FIFO with head compaction that
 // the task queue shards and the main-memory token queue share. Before
 // this package existed the same compaction slide was hand-rolled in
-// three places (taskq.pop, taskq.tryPop, datasource.MemQueue.Dequeue);
+// three places (taskq.pop, taskq.tryPop, datasource.MemQueue.DequeueBatch);
 // it lives here once, tested once.
 //
 // Queue is not safe for concurrent use; callers wrap it in their own

@@ -64,11 +64,6 @@ func Le(id uint64, c types.Value) Interval {
 	return Interval{ID: id, Hi: c, LoUnbounded: true}
 }
 
-// Between returns the closed interval [lo, hi].
-func Between(id uint64, lo, hi types.Value) Interval {
-	return Interval{ID: id, Lo: lo, Hi: hi}
-}
-
 // Contains reports whether the interval contains v.
 func (iv Interval) Contains(v types.Value) bool {
 	if !iv.LoUnbounded {
@@ -590,14 +585,4 @@ func (l *List) Stab(v types.Value, fn func(Interval) bool) {
 			return
 		}
 	}
-}
-
-// StabAll collects the results of Stab into a slice.
-func (l *List) StabAll(v types.Value) []Interval {
-	var out []Interval
-	l.Stab(v, func(iv Interval) bool {
-		out = append(out, iv)
-		return true
-	})
-	return out
 }

@@ -15,18 +15,15 @@ func iv(t *testing.T, l *List, i Interval) {
 	}
 }
 
-func ids(list []Interval) []uint64 {
-	out := make([]uint64, len(list))
-	for i, iv := range list {
-		out[i] = iv.ID
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func wantIDs(t *testing.T, got []Interval, want ...uint64) {
+// wantStab checks that stabbing l at v reports exactly the want IDs.
+func wantStab(t *testing.T, l *List, v types.Value, want ...uint64) {
 	t.Helper()
-	g := ids(got)
+	var g []uint64
+	l.Stab(v, func(iv Interval) bool {
+		g = append(g, iv.ID)
+		return true
+	})
+	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	if len(g) != len(want) {
 		t.Fatalf("got %v, want %v", g, want)
@@ -55,10 +52,10 @@ func TestIntervalContains(t *testing.T) {
 	if !le.Contains(types.NewInt(10)) || le.Contains(types.NewInt(11)) {
 		t.Error("Le")
 	}
-	bw := Between(5, types.NewInt(1), types.NewInt(3))
+	bw := Interval{ID: 5, Lo: types.NewInt(1), Hi: types.NewInt(3)}
 	for v, want := range map[int64]bool{0: false, 1: true, 2: true, 3: true, 4: false} {
 		if bw.Contains(types.NewInt(v)) != want {
-			t.Errorf("Between(%d) = %v", v, !want)
+			t.Errorf("[1, 3] contains %d = %v", v, !want)
 		}
 	}
 }
@@ -67,14 +64,14 @@ func TestIntervalString(t *testing.T) {
 	if s := Gt(1, types.NewInt(5)).String(); s != "(5, +inf)" {
 		t.Errorf("Gt string = %q", s)
 	}
-	if s := Between(1, types.NewInt(1), types.NewInt(2)).String(); s != "[1, 2]" {
-		t.Errorf("Between string = %q", s)
+	if s := (Interval{ID: 1, Lo: types.NewInt(1), Hi: types.NewInt(2)}).String(); s != "[1, 2]" {
+		t.Errorf("closed interval string = %q", s)
 	}
 }
 
 func TestEmptyIntervalRejected(t *testing.T) {
 	l := New(1)
-	if err := l.Insert(Between(1, types.NewInt(5), types.NewInt(3))); err == nil {
+	if err := l.Insert(Interval{ID: 1, Lo: types.NewInt(5), Hi: types.NewInt(3)}); err == nil {
 		t.Error("inverted interval should fail")
 	}
 	bad := Interval{ID: 2, Lo: types.NewInt(5), Hi: types.NewInt(5), LoOpen: true}
@@ -82,10 +79,10 @@ func TestEmptyIntervalRejected(t *testing.T) {
 		t.Error("empty open point interval should fail")
 	}
 	// Degenerate closed point interval [5,5] is legal.
-	if err := l.Insert(Between(3, types.NewInt(5), types.NewInt(5))); err != nil {
+	if err := l.Insert(Interval{ID: 3, Lo: types.NewInt(5), Hi: types.NewInt(5)}); err != nil {
 		t.Errorf("point interval: %v", err)
 	}
-	wantIDs(t, l.StabAll(types.NewInt(5)), 3)
+	wantStab(t, l, types.NewInt(5), 3)
 }
 
 func TestStabBasic(t *testing.T) {
@@ -93,13 +90,13 @@ func TestStabBasic(t *testing.T) {
 	iv(t, l, Gt(1, types.NewInt(80000))) // salary > 80000
 	iv(t, l, Gt(2, types.NewInt(50000))) // salary > 50000
 	iv(t, l, Lt(3, types.NewInt(60000))) // salary < 60000
-	iv(t, l, Between(4, types.NewInt(55000), types.NewInt(90000)))
+	iv(t, l, Interval{ID: 4, Lo: types.NewInt(55000), Hi: types.NewInt(90000)})
 
-	wantIDs(t, l.StabAll(types.NewInt(90000)), 1, 2, 4)
-	wantIDs(t, l.StabAll(types.NewInt(55000)), 2, 3, 4)
-	wantIDs(t, l.StabAll(types.NewInt(10000)), 3)
-	wantIDs(t, l.StabAll(types.NewInt(80000)), 2, 4)  // > is strict
-	wantIDs(t, l.StabAll(types.NewInt(100000)), 1, 2) // above Between
+	wantStab(t, l, types.NewInt(90000), 1, 2, 4)
+	wantStab(t, l, types.NewInt(55000), 2, 3, 4)
+	wantStab(t, l, types.NewInt(10000), 3)
+	wantStab(t, l, types.NewInt(80000), 2, 4)  // > is strict
+	wantStab(t, l, types.NewInt(100000), 1, 2) // above [55000, 90000]
 	if l.Len() != 4 {
 		t.Errorf("len = %d", l.Len())
 	}
@@ -129,7 +126,7 @@ func TestDelete(t *testing.T) {
 	if l.Delete(a) {
 		t.Error("double delete")
 	}
-	wantIDs(t, l.StabAll(types.NewInt(200)), 2)
+	wantStab(t, l, types.NewInt(200), 2)
 	if l.Len() != 1 {
 		t.Errorf("len = %d", l.Len())
 	}
@@ -139,9 +136,9 @@ func TestStringValues(t *testing.T) {
 	l := New(3)
 	iv(t, l, Ge(1, types.NewString("m"))) // name >= 'm'
 	iv(t, l, Lt(2, types.NewString("f"))) // name < 'f'
-	wantIDs(t, l.StabAll(types.NewString("zebra")), 1)
-	wantIDs(t, l.StabAll(types.NewString("apple")), 2)
-	wantIDs(t, l.StabAll(types.NewString("m")), 1)
+	wantStab(t, l, types.NewString("zebra"), 1)
+	wantStab(t, l, types.NewString("apple"), 2)
+	wantStab(t, l, types.NewString("m"), 1)
 }
 
 // Brute-force oracle comparison over a large randomized workload, the
@@ -170,7 +167,7 @@ func TestRandomizedAgainstBruteForce(t *testing.T) {
 				if a > b {
 					a, b = b, a
 				}
-				ivl := Between(id, types.NewInt(int64(a)), types.NewInt(int64(b)))
+				ivl := Interval{ID: id, Lo: types.NewInt(int64(a)), Hi: types.NewInt(int64(b))}
 				ivl.LoOpen = rng.Intn(2) == 0 && a < b
 				ivl.HiOpen = rng.Intn(2) == 0 && a < b
 				return ivl
@@ -198,12 +195,13 @@ func TestRandomizedAgainstBruteForce(t *testing.T) {
 				for probe := 0; probe < 30; probe++ {
 					v := types.NewInt(int64(rng.Intn(210) - 5))
 					got := map[uint64]bool{}
-					for _, ivl := range l.StabAll(v) {
+					l.Stab(v, func(ivl Interval) bool {
 						if got[ivl.ID] {
 							t.Fatalf("duplicate id %d in stab", ivl.ID)
 						}
 						got[ivl.ID] = true
-					}
+						return true
+					})
 					for id, ivl := range live {
 						if ivl.Contains(v) != got[id] {
 							t.Fatalf("seed %d step %d: stab(%s) id %d (%s): oracle %v, got %v (len=%d nodes=%d)",
@@ -239,10 +237,11 @@ func TestManyIdenticalBounds(t *testing.T) {
 	for i := uint64(0); i < 3000; i++ {
 		iv(t, l, Gt(i, types.NewInt(int64(i%10)*10000)))
 	}
-	got := l.StabAll(types.NewInt(45000))
+	got := 0
+	l.Stab(types.NewInt(45000), func(Interval) bool { got++; return true })
 	// matches constants 0..40000 -> i%10 in {0..4} -> 1500 intervals
-	if len(got) != 1500 {
-		t.Errorf("stab matched %d, want 1500", len(got))
+	if got != 1500 {
+		t.Errorf("stab matched %d, want 1500", got)
 	}
 	if l.Nodes() != 10 {
 		t.Errorf("nodes = %d, want 10 distinct endpoints", l.Nodes())
@@ -252,6 +251,6 @@ func TestManyIdenticalBounds(t *testing.T) {
 func TestFloatAndIntMix(t *testing.T) {
 	l := New(9)
 	iv(t, l, Gt(1, types.NewFloat(0.5)))
-	wantIDs(t, l.StabAll(types.NewInt(1)), 1)
-	wantIDs(t, l.StabAll(types.NewInt(0)))
+	wantStab(t, l, types.NewInt(1), 1)
+	wantStab(t, l, types.NewInt(0))
 }

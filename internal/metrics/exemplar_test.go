@@ -30,29 +30,6 @@ func TestExemplarStamping(t *testing.T) {
 	}
 }
 
-// TestQuantileExemplar checks the tail quantile resolves to the slow
-// observation's exemplar, with fallback when the exact bucket is
-// untraced.
-func TestQuantileExemplar(t *testing.T) {
-	h := NewHistogram(nil)
-	if _, ok := h.QuantileExemplar(0.99); ok {
-		t.Fatal("empty histogram produced an exemplar")
-	}
-	for i := 0; i < 999; i++ {
-		h.Observe(2 * time.Microsecond) // untraced bulk
-	}
-	h.ObserveEx(time.Second, 42) // the traced tail
-	e, ok := h.QuantileExemplar(0.999)
-	if !ok || e.Seq != 42 {
-		t.Fatalf("p999 exemplar = %+v ok=%v, want seq 42", e, ok)
-	}
-	// p50 bucket holds no exemplar; fallback walks up to the traced one.
-	e, ok = h.QuantileExemplar(0.5)
-	if !ok || e.Seq != 42 {
-		t.Fatalf("p50 fallback exemplar = %+v ok=%v, want seq 42", e, ok)
-	}
-}
-
 // TestCountAtOrBelow checks the conservative good-count: only whole
 // buckets provably under the threshold count.
 func TestCountAtOrBelow(t *testing.T) {

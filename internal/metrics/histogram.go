@@ -145,48 +145,6 @@ func (h *Histogram) Exemplars() []Exemplar {
 	return out
 }
 
-// QuantileExemplar resolves the q-quantile to the exemplar of the
-// bucket holding that order statistic — the concrete recent trace
-// behind an abstract percentile. When the quantile bucket itself holds
-// no traced observation, it falls back to the nearest populated bucket
-// at or above it (tail quantiles care about "at least this slow"), and
-// failing that the nearest below. ok is false when the histogram has
-// no exemplars at all.
-func (h *Histogram) QuantileExemplar(q float64) (Exemplar, bool) {
-	cum, total := h.snapshot()
-	if total == 0 {
-		return Exemplar{}, false
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	target := 0
-	for i, c := range cum {
-		if c >= rank {
-			target = i
-			break
-		}
-	}
-	for b := target; b < len(h.exemplars); b++ {
-		if e, ok := h.exemplarAt(b); ok {
-			return e, true
-		}
-	}
-	for b := target - 1; b >= 0; b-- {
-		if e, ok := h.exemplarAt(b); ok {
-			return e, true
-		}
-	}
-	return Exemplar{}, false
-}
-
 // CountAtOrBelow reports how many observations landed in buckets whose
 // upper bound is <= d — the "good" count for a latency SLO with
 // threshold d. The bucket edge rounds the threshold down, so the count

@@ -66,9 +66,6 @@ type Gauge struct {
 // Set stores the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value loads the value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -338,11 +337,4 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Render is WritePrometheus into a string.
-func (s *Snapshot) Render() string {
-	var b strings.Builder
-	s.WritePrometheus(&b)
-	return b.String()
 }

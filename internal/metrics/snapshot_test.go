@@ -107,7 +107,11 @@ func TestMergedExpositionIsValid(t *testing.T) {
 		"A": buildRegistry(10, 2, time.Millisecond, 3).Snapshot(),
 		"B": buildRegistry(5, 9, 100*time.Millisecond, 4).Snapshot(),
 	}
-	text := Merge(snaps).Render()
+	var b strings.Builder
+	if err := Merge(snaps).WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	if err := CheckExposition(text); err != nil {
 		t.Fatalf("merged exposition invalid: %v\n%s", err, text)
 	}

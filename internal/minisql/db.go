@@ -25,6 +25,7 @@ type DB struct {
 	bp     *storage.BufferPool
 	master *storage.HeapFile
 	tables map[string]*Table
+	heaps  map[string]storage.PageID // raw heaps by name (see Heap)
 }
 
 // Table is a heap file with a schema and zero or more B+tree indexes.
@@ -48,17 +49,15 @@ type Index struct {
 }
 
 // Create initializes a fresh database on bp. The master catalog heap
-// becomes the first heap allocated; remember MasterPage to reopen.
+// becomes the first heap allocated: on a fresh disk its page is 0,
+// which is what Open is given to reopen it.
 func Create(bp *storage.BufferPool) (*DB, error) {
 	master, err := storage.CreateHeap(bp)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{bp: bp, master: master, tables: make(map[string]*Table)}, nil
+	return &DB{bp: bp, master: master, tables: make(map[string]*Table), heaps: make(map[string]storage.PageID)}, nil
 }
-
-// MasterPage returns the master catalog's identity page.
-func (db *DB) MasterPage() storage.PageID { return db.master.FirstPage() }
 
 // Open reattaches to a database persisted on bp's disk.
 func Open(bp *storage.BufferPool, masterPage storage.PageID) (*DB, error) {
@@ -66,13 +65,17 @@ func Open(bp *storage.BufferPool, masterPage storage.PageID) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{bp: bp, master: master, tables: make(map[string]*Table)}
+	db := &DB{bp: bp, master: master, tables: make(map[string]*Table), heaps: make(map[string]storage.PageID)}
 	var loadErr error
 	err = master.Scan(func(rid storage.RID, rec []byte) bool {
 		tu, _, derr := types.DecodeTuple(rec)
 		if derr != nil {
 			loadErr = derr
 			return false
+		}
+		if len(tu) == 2 {
+			db.heaps[tu[0].Str()] = storage.PageID(tu[1].Int())
+			return true
 		}
 		t, derr := db.decodeTableRow(tu)
 		if derr != nil {
@@ -91,9 +94,6 @@ func Open(bp *storage.BufferPool, masterPage storage.PageID) (*DB, error) {
 	}
 	return db, nil
 }
-
-// Pool returns the shared buffer pool.
-func (db *DB) Pool() *storage.BufferPool { return db.bp }
 
 // catalog row: (name, schemaText, heapPage, indexText)
 // schemaText: "col:kind,col:kind" ; indexText: "name@metaPage@c1+c2;..."
@@ -221,6 +221,28 @@ func (db *DB) CreateTable(name string, schema *types.Schema) (*Table, error) {
 	return t, nil
 }
 
+// Heap returns the first page of the raw heap registered under name,
+// creating and registering an empty heap on first use. A raw heap holds
+// records that are not rows (the persistent token queue), so SQL never
+// sees it; its master catalog row is the pair (name, first page).
+func (db *DB) Heap(name string) (storage.PageID, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if first, ok := db.heaps[name]; ok {
+		return first, nil
+	}
+	h, err := storage.CreateHeap(db.bp)
+	if err != nil {
+		return 0, err
+	}
+	row := types.Tuple{types.NewString(name), types.NewInt(int64(h.FirstPage()))}
+	if _, err := db.master.Insert(types.EncodeTuple(nil, row)); err != nil {
+		return 0, err
+	}
+	db.heaps[name] = h.FirstPage()
+	return h.FirstPage(), nil
+}
+
 // Table looks a table up by name.
 func (db *DB) Table(name string) (*Table, error) {
 	db.mu.RLock()
@@ -315,15 +337,6 @@ func (ix *Index) keyOf(tu types.Tuple) []byte {
 		key[i] = tu.Get(c)
 	}
 	return types.EncodeKey(nil, key)
-}
-
-// Indexes returns the table's indexes.
-func (t *Table) Indexes() []*Index {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]*Index, len(t.indexes))
-	copy(out, t.indexes)
-	return out
 }
 
 // Insert appends a row, validating arity and types (NULL fits any

@@ -276,7 +276,6 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master := db.MasterPage()
 	schema := types.MustSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "v", Kind: types.KindVarchar},
@@ -298,7 +297,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 
 	bp2 := storage.NewBufferPool(disk, 128)
-	db2, err := Open(bp2, master)
+	db2, err := Open(bp2, 0) // the master catalog is the first heap Create allocates
 	if err != nil {
 		t.Fatal(err)
 	}

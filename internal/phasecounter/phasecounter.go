@@ -269,14 +269,6 @@ func NewDomain(slots int) *Domain {
 	return &Domain{slots: slots}
 }
 
-// Slots reports the slice geometry.
-func (d *Domain) Slots() int {
-	if d == nil {
-		return 0
-	}
-	return d.slots
-}
-
 // Reconcile runs one epoch: every promoted counter's slice deltas fold
 // into its base cell and its reconciled reading refreshes; counters
 // cold for demoteIdleEpochs epochs demote to plain. Exactness: a slice

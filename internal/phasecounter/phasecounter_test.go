@@ -240,12 +240,12 @@ func TestNilAndDegenerateDomains(t *testing.T) {
 	}
 	var nd *Domain
 	nd.Reconcile() // nil receiver is a no-op
-	if nd.Slots() != 0 || nd.Stats() != (DomainStats{}) {
+	if nd.Stats() != (DomainStats{}) {
 		t.Fatal("nil domain stats not zero")
 	}
 	d := NewDomain(0) // clamps to 1 slot
-	if d.Slots() != 1 {
-		t.Fatalf("Slots = %d, want clamp to 1", d.Slots())
+	if d.slots != 1 {
+		t.Fatalf("slots = %d, want clamp to 1", d.slots)
 	}
 }
 

@@ -134,11 +134,9 @@ func TestPropertyProbeDuringReconcile(t *testing.T) {
 	if got := gotMatches.Load(); got != wantMatches {
 		t.Fatalf("callback matches = %d, want %d", got, wantMatches)
 	}
-	if got := entry.ProbeCount(); got != totalProbes {
-		t.Fatalf("entry probes = %d, want %d", got, totalProbes)
-	}
-	if got := entry.MatchCount(); got != wantMatches {
-		t.Fatalf("entry matches = %d, want %d", got, wantMatches)
+	if snap := ix.Snapshot(); len(snap) != 1 || snap[0].ID != entry.ID ||
+		snap[0].Probes != totalProbes || snap[0].Matches != wantMatches {
+		t.Fatalf("entry snapshot = %+v, want %d probes and %d matches", snap, totalProbes, wantMatches)
 	}
 	st := ix.Stats()
 	if st.Tokens != totalProbes || st.SigProbes != totalProbes || st.Matches != wantMatches {

@@ -359,8 +359,8 @@ type SignatureEntry struct {
 	// Lock-free introspection counters: tokens consulted against this
 	// signature and refs matched through it. Phase-reconciled: a
 	// signature hammered from many drivers splits them into per-slot
-	// slices (see internal/phasecounter); ProbeCount/MatchCount stay
-	// exact either way.
+	// slices (see internal/phasecounter); Snapshot's counts stay exact
+	// either way.
 	cProbes  phasecounter.Counter
 	cMatches phasecounter.Counter
 	// dom backlinks to the owning index's reconcile domain so counter
@@ -370,9 +370,6 @@ type SignatureEntry struct {
 
 // Option configures an Index.
 type Option func(*Index)
-
-// WithPolicy overrides the adaptive thresholds.
-func WithPolicy(p Policy) Option { return func(ix *Index) { ix.policy = p } }
 
 // WithDB supplies the database used by table organizations. Without it,
 // classes stay in memory regardless of size.
@@ -445,7 +442,7 @@ func New(opts ...Option) *Index {
 // stats) folds its per-driver slices into its base cell, refreshing
 // the reconciled readings that reorganization decisions and snapshots
 // consume. The embedding system ticks this on its epoch timer;
-// Stats(), ProbeCount() and MatchCount() are exact without it.
+// Stats() and Snapshot()'s probe and match counts are exact without it.
 func (ix *Index) Reconcile() { ix.dom.Reconcile() }
 
 // Contention snapshots the index's phase-reconciliation domain: how
@@ -606,20 +603,6 @@ func (e *SignatureEntry) SetPartitions(n int) error {
 	e.partitions = n
 	return e.set.repartition(n)
 }
-
-// Partitions reports the signature's partition count.
-func (e *SignatureEntry) Partitions() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.partitions
-}
-
-// ProbeCount reports how many tokens have consulted this signature
-// (exact: sums live slices when the counter is sliced).
-func (e *SignatureEntry) ProbeCount() int64 { return e.cProbes.Value() }
-
-// MatchCount reports how many refs have matched through this signature.
-func (e *SignatureEntry) MatchCount() int64 { return e.cMatches.Value() }
 
 // maybeReorganize migrates the constant set when its size crosses a
 // policy threshold. Caller holds entry.mu.

@@ -308,8 +308,8 @@ func TestPartitionedTriggerIDSets(t *testing.T) {
 	if err := entry.SetPartitions(4); err != nil {
 		t.Fatal(err)
 	}
-	if entry.Partitions() != 4 {
-		t.Error("partition count")
+	if snap := ix.Snapshot(); len(snap) != 1 || snap[0].Partitions != 4 {
+		t.Errorf("partition count: %+v", snap)
 	}
 	tok := insertTok("hot", 1, "d")
 	seen := map[uint64]int{}

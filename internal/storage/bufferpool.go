@@ -191,24 +191,6 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	return nil
 }
 
-// FlushPage writes one page to disk if it is cached and dirty, then
-// syncs the disk manager — the durability primitive for write-ahead
-// semantics on the persistent update queue.
-func (bp *BufferPool) FlushPage(id PageID) error {
-	bp.mu.Lock()
-	fr, ok := bp.frames[id]
-	if ok && fr.dirty {
-		if err := bp.writePage(id, fr.page.Data[:]); err != nil {
-			bp.mu.Unlock()
-			return err
-		}
-		fr.dirty = false
-		bp.stats.Flushes++
-	}
-	bp.mu.Unlock()
-	return bp.disk.Sync()
-}
-
 // WriteBack writes one cached dirty page to the disk manager without
 // syncing. Group commit uses it to write a round's pages back to back
 // and pay a single Sync for all of them; callers that need durability
@@ -242,11 +224,4 @@ func (bp *BufferPool) FlushAll() error {
 		}
 	}
 	return bp.disk.Sync()
-}
-
-// Cached reports the number of resident frames (for tests).
-func (bp *BufferPool) Cached() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.frames)
 }

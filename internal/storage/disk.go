@@ -154,10 +154,3 @@ func (d *MemDiskManager) Sync() error { return nil }
 
 // Close implements DiskManager.
 func (d *MemDiskManager) Close() error { return nil }
-
-// IOCounts returns the simulated read/write totals.
-func (d *MemDiskManager) IOCounts() (reads, writes int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.Reads, d.Writes
-}

@@ -57,6 +57,14 @@ func OpenHeap(bp *BufferPool, first PageID) (*HeapFile, error) {
 // FirstPage returns the heap's identity page ID.
 func (h *HeapFile) FirstPage() PageID { return h.first }
 
+// LastPage returns the page at the tail of the chain, where the next
+// insert goes unless it has to grow the chain.
+func (h *HeapFile) LastPage() PageID {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.last
+}
+
 // Count returns the number of live records.
 func (h *HeapFile) Count() int {
 	h.mu.Lock()
@@ -241,23 +249,4 @@ func (h *HeapFile) ScanFrom(start PageID, fn func(rid RID, rec []byte) bool) err
 		id = next
 	}
 	return nil
-}
-
-// Pages counts the pages in the heap chain.
-func (h *HeapFile) Pages() (int, error) {
-	n := 0
-	id := h.first
-	for id != InvalidPageID {
-		p, err := h.bp.FetchPage(id)
-		if err != nil {
-			return 0, err
-		}
-		next := p.NextPage()
-		if err := h.bp.Unpin(id, false); err != nil {
-			return 0, err
-		}
-		n++
-		id = next
-	}
-	return n, nil
 }

@@ -356,9 +356,6 @@ func New(cfg Config) *Pool {
 	return p
 }
 
-// Drivers reports the configured driver count.
-func (p *Pool) Drivers() int { return p.cfg.Drivers }
-
 // Stats returns a snapshot of the counters.
 func (p *Pool) Stats() Stats {
 	return Stats{

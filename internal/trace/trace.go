@@ -153,24 +153,6 @@ func (sp *Span) observe(st Stage, d time.Duration) {
 	}
 }
 
-// Context renders the span's wire context for onward propagation (to a
-// forwarded token, or echoed back to the client): the parent id when
-// the span was begun remotely, otherwise the span's own seq. Nil spans
-// render empty. Nil-safe.
-func (sp *Span) Context() string {
-	if sp == nil {
-		return ""
-	}
-	id := sp.parent
-	if id == 0 {
-		id = sp.seq
-	}
-	if id == 0 {
-		return ""
-	}
-	return FormatContext(id, FlagSampled)
-}
-
 // Retain adds a reference for a concurrent consumer (a partition task
 // holding the span). Nil-safe.
 func (sp *Span) Retain() {
@@ -218,16 +200,6 @@ type Record struct {
 	QueueWaitNs int64       `json:"queue_wait_ns"`
 	ServiceNs   int64       `json:"service_ns"`
 	Stages      []StageStat `json:"stages"`
-}
-
-// HasStage reports whether the trace recorded the named stage.
-func (r Record) HasStage(name string) bool {
-	for _, st := range r.Stages {
-		if st.Stage == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Config tunes a Tracer.
@@ -329,9 +301,6 @@ func New(cfg Config) *Tracer {
 	}
 	return t
 }
-
-// Enabled reports whether the tracer samples at all.
-func (t *Tracer) Enabled() bool { return t != nil && t.cfg.SampleEvery > 0 }
 
 // Begin starts a span for a token about to be captured, or returns nil
 // when the token is not sampled. The caller must Attach the span once

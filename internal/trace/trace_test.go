@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestSpanLifecycle(t *testing.T) {
 			// locally-processed span never marks it.
 			continue
 		}
-		if !rec.HasStage(st.String()) {
+		if !slices.ContainsFunc(rec.Stages, func(s StageStat) bool { return s.Stage == st.String() }) {
 			t.Fatalf("record missing stage %s: %+v", st, rec.Stages)
 		}
 	}
@@ -125,9 +126,6 @@ func TestBeginRemote(t *testing.T) {
 		t.Fatal("sampled remote parent did not force a span")
 	}
 	tr.Attach(7, sp)
-	if got, want := sp.Context(), FormatContext(id, FlagSampled); got != want {
-		t.Fatalf("Context() = %q, want %q", got, want)
-	}
 	sp.Finish()
 	rec, ok := tr.RecordBySeq(7)
 	if !ok || rec.TraceParent != FormatContext(id, FlagSampled) {
@@ -160,9 +158,6 @@ func TestSampling(t *testing.T) {
 	off := New(Config{SampleEvery: -1})
 	if off.Begin(1, "insert") != nil {
 		t.Fatal("disabled tracer produced a span")
-	}
-	if off.Enabled() {
-		t.Fatal("disabled tracer reports enabled")
 	}
 }
 

@@ -71,12 +71,7 @@ type Server struct {
 	done  chan struct{}
 }
 
-// Serve starts accepting on ln; it returns when the listener closes.
-func Serve(ln net.Listener, backend Backend) *Server {
-	return ServeWith(ln, backend, Config{})
-}
-
-// ServeWith is Serve with an explicit Config.
+// ServeWith starts accepting on ln; the server runs until Close.
 func ServeWith(ln net.Listener, backend Backend, cfg Config) *Server {
 	s := &Server{backend: backend, cfg: cfg, ln: ln, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
 	go s.acceptLoop()

@@ -106,7 +106,7 @@ func TestServerDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := &fakeBackend{bus: event.NewBus()}
-	srv := Serve(ln, be)
+	srv := ServeWith(ln, be, Config{})
 	defer srv.Close()
 	defer be.bus.Close()
 

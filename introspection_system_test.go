@@ -261,7 +261,7 @@ func TestExplainVerb(t *testing.T) {
 // JSON lines, and /eventz serves the bounded ring.
 func TestEventLogMirror(t *testing.T) {
 	var sb strings.Builder
-	sys, err := Open(Options{Synchronous: true, Queue: MemoryQueue, EventLogOut: &sb, EventLogRing: 32})
+	sys, err := Open(Options{Synchronous: true, Queue: MemoryQueue, EventLogOut: &sb})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -345,7 +346,7 @@ func TestChaosTelemetry(t *testing.T) {
 	for _, rec := range p.RecentTraces {
 		has := true
 		for _, st := range allStages {
-			if !rec.HasStage(st) {
+			if !slices.ContainsFunc(rec.Stages, func(s trace.StageStat) bool { return s.Stage == st }) {
 				has = false
 				break
 			}

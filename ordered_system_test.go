@@ -33,7 +33,6 @@ func sourceFIFOOrdering(t *testing.T, parts int) {
 		Queue:               MemoryQueue,
 		SourceFIFO:          true,
 		ConditionPartitions: parts,
-		TokenBatch:          4,
 		Threshold:           time.Millisecond,
 	})
 	if err != nil {

@@ -353,8 +353,8 @@ func TestRequeueWhileShedding(t *testing.T) {
 	if err := push(4); err != nil {
 		t.Fatalf("shed push must report success (the token is parked, not lost): %v", err)
 	}
-	if sys.Admission().StateOf(bat.Source().ID) != admission.StateShedding {
-		t.Fatalf("source state = %v, want shedding", sys.Admission().StateOf(bat.Source().ID))
+	if loads := sys.Admission().Snapshot(nil); len(loads) != 1 || loads[0].State != admission.StateShedding {
+		t.Fatalf("admission snapshot = %+v, want bat shedding", loads)
 	}
 	dls, err := sys.DeadLetters()
 	if err != nil {

@@ -116,16 +116,21 @@ func (s *System) applyTraced(tok datasource.Token, parent uint64, flags byte) er
 	// Either way the retry covers transient *dequeue* failures only: the
 	// tokens are still queued, so pumping again finds them. A token that
 	// did leave the queue is stage's, so a re-run can never strand one.
+	// The key routes the task to the source's home shard: one source's
+	// tokens drain from one queue (and batch together), while idle
+	// drivers steal across.
+	return s.schedulePump(sourceKey(tok.SourceID), s.taskPri(tok.SourceID))
+}
+
+// schedulePump runs one pump: inline when Synchronous, else as a
+// process-token task with the given shard key and priority.
+func (s *System) schedulePump(key int64, pri taskq.Priority) error {
 	if s.pool == nil {
 		_, err := s.queueRetry.Do(s.pumpInline)
 		return err
 	}
-	// The key routes the task to the source's home shard: one source's
-	// tokens drain from one queue (and batch together), while idle
-	// drivers steal across.
 	return s.pool.Submit(taskq.Task{
-		Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID),
-		Pri:   s.taskPri(tok.SourceID),
+		Kind: taskq.ProcessToken, Key: key, Pri: pri,
 		Retry: &s.queueRetry, RunSlot: s.pumpTask,
 	})
 }

@@ -241,10 +241,6 @@ func (s *System) command(text string) (string, error) {
 	}
 }
 
-// parseStatement parses one command-language statement (exported within
-// the package for tests and the console).
-func parseStatement(text string) (parser.Statement, error) { return parser.Parse(text) }
-
 // StreamSourceByName wraps an already-defined data source as a
 // StreamSource handle (tools re-acquire handles after bulk loading).
 func (s *System) StreamSourceByName(name string) (*StreamSource, error) {

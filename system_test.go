@@ -2,7 +2,9 @@ package triggerman
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,82 +50,110 @@ func TestActionTasksMode(t *testing.T) {
 	}
 }
 
+// TestPersistentQueueSurvivesRestart: a file-backed system reopens its
+// persistent queue. The one driver is held inside the first token's
+// firing while 199 more tokens are enqueued durably; a copy of the file
+// taken then is the image a crash would leave. Reopened, the image
+// fires every token queued in it exactly once (each firing writes one
+// audit row), and the token the held driver had already dequeued is not
+// in it: a token that has left the queue but not yet fired is lost in a
+// crash, a separate gap this test does not cover. Idle Open/Close
+// cycles then leave the file the size it was: reopening allocates no
+// new queue.
 func TestPersistentQueueSurvivesRestart(t *testing.T) {
+	const n = 200
 	dir := t.TempDir()
-	path := filepath.Join(dir, "q.db")
-	{
-		// Async system: enqueue tokens but close before the drivers can
-		// be given a chance... we cannot easily stop mid-flight, so use
-		// a synchronous system and enqueue WITHOUT consuming by pushing
-		// through the queue directly.
-		sys, err := Open(Options{DiskPath: path, Synchronous: true})
+	path, image := filepath.Join(dir, "q.db"), filepath.Join(dir, "image.db")
+	opts := func(path string) Options {
+		return Options{DiskPath: path, Queue: PersistentQueue, DurableQueue: true, Drivers: 1}
+	}
+	sys, err := Open(opts(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := sys.DefineStreamSource("s", types.Column{Name: "x", Kind: types.KindInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DB().CreateTable("audit", types.MustSchema(types.Column{Name: "x", Kind: types.KindInt})); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateTrigger(`create trigger t from s when s.x > 0 do execSQL 'insert into audit values (:NEW.s.x)'`); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Flush(); err != nil { // the catalog is on disk before the first token
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	sys.FireHook = func(uint64, []types.Tuple) { once.Do(func() { close(held); <-release }) }
+	for x := int64(1); x <= n; x++ {
+		if err := src.Insert(types.Tuple{types.NewInt(x)}); err != nil {
+			t.Fatal(err)
+		}
+		if x == 1 {
+			<-held
+		}
+	}
+	if depth := sys.Stats().QueueDepth; depth != n-1 {
+		t.Fatalf("queue depth with the driver held = %d, want %d", depth, n-1)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(image, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err = Open(opts(image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Drain()
+	res, err := sys.Exec("select x from audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := map[int64]int{}
+	for _, row := range res.Rows {
+		fired[row[0].Int()]++
+	}
+	for x := int64(2); x <= n; x++ {
+		if fired[x] != 1 {
+			t.Errorf("token %d fired %d times after the reopen, want once", x, fired[x])
+		}
+	}
+	if len(res.Rows) != n-1 {
+		t.Errorf("audit rows after the reopen = %d, want %d", len(res.Rows), n-1)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	size := func() int64 {
+		fi, err := os.Stat(image)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.DefineStreamSource("s", types.Column{Name: "x", Kind: types.KindInt}); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.CreateTrigger(`create trigger t from s when s.x > 0 do raise event E(s.x)`); err != nil {
+		return fi.Size()
+	}
+	before := size()
+	for i := 0; i < 5; i++ {
+		sys, err := Open(opts(image))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sys, err := Open(Options{DiskPath: path, Synchronous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if sys.Stats().Triggers != 1 {
-		t.Fatal("trigger lost")
-	}
-	// Note: the queue table from the prior run is re-created fresh per
-	// Open in this implementation when empty; tokens processed
-	// synchronously never linger. This test pins the recovery path.
-	src, _ := sys.StreamSourceByName("s")
-	var fired int64
-	sys.FireHook = func(uint64, []types.Tuple) { atomic.AddInt64(&fired, 1) }
-	src.Insert(types.Tuple{types.NewInt(5)})
-	if fired != 1 {
-		t.Errorf("fired = %d", fired)
-	}
-}
-
-func TestAdaptiveOrganizationThroughFacade(t *testing.T) {
-	pol := predindex.Policy{ListMax: 4, MemMax: 32}
-	sys, err := Open(Options{Synchronous: true, Policy: &pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if _, err := sys.DefineStreamSource("emp",
-		types.Column{Name: "name", Kind: types.KindVarchar},
-		types.Column{Name: "salary", Kind: types.KindInt}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		err := sys.CreateTrigger(fmt.Sprintf(
-			`create trigger t%03d from emp when emp.name = 'u%03d' do raise event E()`, i, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	src, _ := sys.reg.ByName("emp")
-	entries := sys.pidx.Signatures(src.ID)
-	if len(entries) != 1 {
-		t.Fatalf("signatures = %d", len(entries))
-	}
-	if org := entries[0].Organization(); org != predindex.OrgIndexedTable {
-		t.Errorf("organization at 100 = %s, want indexed-table", org)
-	}
-	// Matching still works through the table organization.
-	var fired int64
-	sys.FireHook = func(uint64, []types.Tuple) { atomic.AddInt64(&fired, 1) }
-	s, _ := sys.StreamSourceByName("emp")
-	s.Insert(types.Tuple{types.NewString("u042"), types.NewInt(1)})
-	if fired != 1 {
-		t.Errorf("fired = %d through table org", fired)
+	if after := size(); after != before {
+		t.Errorf("five idle Open/Close cycles grew the file %d -> %d bytes", before, after)
 	}
 }
 

@@ -64,6 +64,12 @@ const (
 	MemoryQueue
 )
 
+// tokenBatch bounds how many tokens one process-token task dequeues and
+// processes. Batching amortizes queue locking across tokens; tracing
+// and cost attribution stay per-token. A Synchronous system takes one
+// token per capture call.
+const tokenBatch = 16
+
 // Options configures a System. The zero value is a sensible in-memory
 // deployment.
 type Options struct {
@@ -123,11 +129,6 @@ type Options struct {
 	// to run a set of rule actions"), which avoids queue contention when
 	// tokens fire many cheap actions.
 	ActionTasks bool
-	// TokenBatch bounds how many tokens one process-token task dequeues
-	// and processes (default 16, 1 disables batching). Batching amortizes
-	// queue locking across tokens; tracing and cost attribution stay
-	// per-token.
-	TokenBatch int
 	// SourceFIFO makes each data source's tokens process strictly in
 	// enqueue order: dequeued tokens hop through per-source serial
 	// tasks, so two tokens from one source never run concurrently (and
@@ -138,10 +139,8 @@ type Options struct {
 	// set, ConditionPartitions still partitions the index but a token's
 	// partitions are matched in one pass inside its serial task.
 	SourceFIFO bool
-	// Policy overrides the constant-set organization thresholds.
-	Policy *predindex.Policy
-	// CostModel derives the organization thresholds from the [Hans98b]
-	// cost model instead of raw cutoffs; ignored when Policy is set.
+	// CostModel derives the constant-set organization thresholds from
+	// the [Hans98b] cost model; nil keeps predindex.DefaultPolicy.
 	CostModel *predindex.CostModel
 	// ConditionPartitions > 1 splits every signature's triggerID sets
 	// round-robin and matches each partition of a token as a separate
@@ -178,8 +177,6 @@ type Options struct {
 	// listener lifecycle). The bounded in-memory ring is kept either
 	// way and served at /eventz.
 	EventLogOut io.Writer
-	// EventLogRing bounds the in-memory event ring (default 256).
-	EventLogRing int
 	// DisableSLO turns off the SLO engine and the runtime telemetry
 	// sampler. Both are on by default: one goroutine each, a few
 	// histogram scans per tick.
@@ -312,7 +309,8 @@ type System struct {
 	sources    map[int32]sourceUse
 	partitions int
 	// The token pipeline's shape (process.go), resolved once at Open:
-	// tokenBatch is how many tokens one pump dequeues, ordered puts the
+	// tokenBatch is how many tokens one pump dequeues (the constant
+	// tokenBatch, 1 when Synchronous), ordered puts the
 	// per-source serial hop between dequeue and stage (SourceFIFO), and
 	// fanOut matches a token's partitions as separate tasks. Both need
 	// the pool, and ordering wins over fan-out.
@@ -468,12 +466,9 @@ func Open(opts Options) (*System, error) {
 	if !opts.DisableProfiling {
 		prof = profile.New(profile.DefaultCapacity, slots)
 	}
-	elog := eventlog.New(eventlog.Config{Out: opts.EventLogOut, Ring: opts.EventLogRing})
+	elog := eventlog.New(eventlog.Config{Out: opts.EventLogOut})
 	pidxOpts := []predindex.Option{predindex.WithDB(db), predindex.WithMetrics(met), predindex.WithSlots(slots)}
-	switch {
-	case opts.Policy != nil:
-		pidxOpts = append(pidxOpts, predindex.WithPolicy(*opts.Policy))
-	case opts.CostModel != nil:
+	if opts.CostModel != nil {
 		pidxOpts = append(pidxOpts, predindex.WithCostModel(*opts.CostModel))
 	}
 	if prof != nil {
@@ -517,15 +512,12 @@ func Open(opts Options) (*System, error) {
 		elog:       elog,
 		sources:    make(map[int32]sourceUse),
 		partitions: opts.ConditionPartitions,
-		tokenBatch: opts.TokenBatch,
+		tokenBatch: tokenBatch,
 		ordered:    opts.SourceFIFO && !opts.Synchronous,
 	}
 	sys.fanOut = sys.partitions > 1 && !opts.Synchronous && !opts.SourceFIFO
-	switch {
-	case opts.Synchronous:
+	if opts.Synchronous {
 		sys.tokenBatch = 1
-	case sys.tokenBatch <= 0:
-		sys.tokenBatch = 16
 	}
 	// The tracer resolves each token's priority class at Begin so
 	// end-to-end durations land in per-class histograms — the series the
@@ -569,13 +561,8 @@ func Open(opts Options) (*System, error) {
 	}
 	if opts.Queue == MemoryQueue {
 		sys.queue = datasource.NewMemQueue()
-	} else {
-		q, err := datasource.NewTableQueue(bp)
-		if err != nil {
-			return nil, err
-		}
-		q.SetDurable(opts.DurableQueue)
-		sys.queue = q
+	} else if sys.queue, err = openQueue(db, bp, opts.DurableQueue); err != nil {
+		return nil, err
 	}
 	if opts.AdmissionConfig != nil {
 		sys.adm = admission.New(*opts.AdmissionConfig, sys.queue.SourceDepth)
@@ -650,7 +637,41 @@ func Open(opts Options) (*System, error) {
 			return nil, err
 		}
 	}
+	// Tokens a previous run left in the persistent queue are pumped like
+	// freshly captured ones: one pump per token (a pump takes its batch
+	// from one queue page, so fewer pumps can strand a page's tail).
+	for n := sys.queue.Len(); n > 0; n-- {
+		if err := sys.schedulePump(0, taskq.High); err != nil {
+			sys.Close()
+			return nil, err
+		}
+	}
 	return sys, nil
+}
+
+// queueHeap names the persistent queue's heap in the master catalog.
+const queueHeap = "token_queue"
+
+// openQueue opens the persistent queue whose heap the master catalog
+// records, creating and recording it in a database that has none. A
+// durable queue's record is flushed before the first enqueue can
+// promise that its token survives a restart.
+func openQueue(db *minisql.DB, bp *storage.BufferPool, durable bool) (*datasource.TableQueue, error) {
+	first, err := db.Heap(queueHeap)
+	if err != nil {
+		return nil, err
+	}
+	q, err := datasource.OpenTableQueue(bp, first)
+	if err != nil {
+		return nil, err
+	}
+	q.SetDurable(durable)
+	if durable {
+		if err := bp.FlushAll(); err != nil {
+			return nil, err
+		}
+	}
+	return q, nil
 }
 
 // cacheObserver charges trigger-cache activity to the attribution

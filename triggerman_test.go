@@ -625,7 +625,7 @@ func TestOldImageInAction(t *testing.T) {
 // mustParseDML parses a DML statement for tests.
 func mustParseDML(t *testing.T, sql string) parser.Statement {
 	t.Helper()
-	st, err := parseStatement(sql)
+	st, err := parser.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
