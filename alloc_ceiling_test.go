@@ -189,6 +189,13 @@ func allocRows(t *testing.T) []allocRow {
 		},
 	})
 
+	rows = append(rows, allocRow{
+		stage: "trigger-cache miss, single-variable raise event", ceiling: 25,
+		what: "the row read by its RID (record copy, tuple, strings), the parse (tokens, statement, " +
+			"when clause, action), the var index, source and schema slices, the description, and the cache entry",
+		call: missCall(t),
+	})
+
 	// The whole path, Synchronous: capture, enqueue, dequeue, probe, pin,
 	// fire, raise.
 	sys, err := Open(Options{Synchronous: true, Queue: MemoryQueue,
@@ -259,6 +266,47 @@ func allocRows(t *testing.T) []allocRow {
 		call: insDel("a"),
 	})
 	return append(rows, networkRows(t)...)
+}
+
+// missCall builds a catalog of 64 single-variable triggers behind a
+// trigger cache of 16 and returns a pin+unpin that walks the triggers in
+// id order: each shard holds one description and its next pin is 16 ids
+// on, so every pin misses and loads a description.
+func missCall(t *testing.T) func() {
+	db, err := minisql.Create(storage.NewBufferPool(storage.NewMem(), 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.New(catalog.Config{DB: db, Reg: datasource.NewRegistry(),
+		Pidx: predindex.New(predindex.WithDB(db)), Cache: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.DefineDataSource("emp", ceilingSchema); err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	for i := 0; i < n; i++ {
+		if _, err := cat.CreateTrigger(fmt.Sprintf(
+			"create trigger t%d from emp when emp.salary > %d do raise event E%d(emp.name)", i, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses0 := cat.Cache().Stats().Misses
+	var pins int64
+	t.Cleanup(func() {
+		if missed := cat.Cache().Stats().Misses - misses0; missed != pins {
+			t.Errorf("trigger-cache miss row: %d of %d pins missed", missed, pins)
+		}
+	})
+	return func() {
+		pins++
+		id := uint64(pins-1)%n + 1
+		if _, err := cat.PinTrigger(id); err != nil {
+			t.Fatal(err)
+		}
+		cat.Unpin(id)
+	}
 }
 
 var hashSink uint64

@@ -18,7 +18,6 @@ import (
 	"triggerman/internal/datasource"
 	"triggerman/internal/discrim"
 	"triggerman/internal/exec"
-	"triggerman/internal/expr"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
 	"triggerman/internal/predindex"
@@ -75,11 +74,11 @@ type predReg struct {
 	exprID uint64
 }
 
-// LoadedTrigger is the trigger-cache payload: the complete description
-// of §5.1 (syntax tree, network skeleton, data source references).
+// LoadedTrigger is the trigger-cache payload: the description of §5.1
+// that a firing reads (compiled action, network skeleton, data source
+// references).
 type LoadedTrigger struct {
 	Info     *TriggerInfo
-	Stmt     *parser.CreateTrigger
 	VarIndex map[string]int
 	Schemas  []*types.Schema
 	Sources  []int32
@@ -581,35 +580,34 @@ func (c *Catalog) Pin(id uint64) (*LoadedTrigger, func(), error) {
 	return lt, func() { c.Unpin(id) }, nil
 }
 
-// loadTrigger is the cache loader: it re-reads the trigger row, parses
-// the stored text and rebuilds the description (§5.4's pin bringing the
-// description "in from the disk-based trigger catalog").
+// loadTrigger is the cache loader (§5.4's pin bringing the description
+// "in from the disk-based trigger catalog"): it reads the trigger's own
+// row by its RID, parses the stored text and rebuilds the description.
+// Every write to the trigger table holds c.mu, so under the read lock
+// the row at info.rid cannot be deleted, moved or reused.
 func (c *Catalog) loadTrigger(id uint64) (interface{}, error) {
-	res, err := c.db.ExecStmt(&parser.Select{
-		Items: []parser.SelectItem{{Star: true}},
-		Table: "trigger",
-		Where: expr.Cmp(expr.OpEq, expr.Col("", "triggerid"), expr.Int(int64(id))),
-	})
+	c.mu.RLock()
+	info := c.triggers[id]
+	if info == nil {
+		c.mu.RUnlock()
+		return nil, fmt.Errorf("catalog: trigger %d dropped", id)
+	}
+	rid := info.rid
+	row, err := c.trigTab.Get(rid)
+	c.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Rows) == 0 {
-		return nil, fmt.Errorf("catalog: trigger %d not in catalog", id)
+	if got := uint64(row[0].Int()); got != id {
+		return nil, fmt.Errorf("catalog: trigger %d: row %s holds trigger %d", id, rid, got)
 	}
-	text := res.Rows[0][4].Str()
-	st, err := parser.Parse(text)
+	st, err := parser.Parse(row[4].Str())
 	if err != nil {
 		return nil, err
 	}
 	ct, ok := st.(*parser.CreateTrigger)
 	if !ok {
 		return nil, fmt.Errorf("catalog: trigger %d text is not a create trigger", id)
-	}
-	c.mu.RLock()
-	info := c.triggers[id]
-	c.mu.RUnlock()
-	if info == nil {
-		return nil, fmt.Errorf("catalog: trigger %d dropped", id)
 	}
 	return c.buildLoaded(info, ct)
 }
@@ -622,7 +620,6 @@ func (c *Catalog) loadTrigger(id uint64) (interface{}, error) {
 func (c *Catalog) buildLoaded(info *TriggerInfo, ct *parser.CreateTrigger) (*LoadedTrigger, error) {
 	lt := &LoadedTrigger{
 		Info:     info,
-		Stmt:     ct,
 		VarIndex: ct.VarIndex(),
 		Network:  info.network,
 		Gator:    info.gator,

@@ -16,9 +16,20 @@ import (
 func newCatalogFlush(t testing.TB, disk storage.DiskManager, cacheSize int) (*Catalog, func()) {
 	t.Helper()
 	bp := storage.NewBufferPool(disk, 512)
+	return openOn(t, bp, cacheSize, false), func() {
+		if err := bp.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// openOn opens (or creates, on an empty disk) a catalog over the given
+// buffer pool, so a test can count the pool's page fetches.
+func openOn(t testing.TB, bp *storage.BufferPool, cacheSize int, gator bool) *Catalog {
+	t.Helper()
 	var db *minisql.DB
 	var err error
-	if disk.NumPages() == 0 {
+	if bp.Disk().NumPages() == 0 {
 		db, err = minisql.Create(bp)
 	} else {
 		db, err = minisql.Open(bp, 0)
@@ -26,17 +37,12 @@ func newCatalogFlush(t testing.TB, disk storage.DiskManager, cacheSize int) (*Ca
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := datasource.NewRegistry()
-	pidx := predindex.New(predindex.WithDB(db))
-	c, err := New(Config{DB: db, Reg: reg, Pidx: pidx, Cache: cacheSize})
+	c, err := New(Config{DB: db, Reg: datasource.NewRegistry(),
+		Pidx: predindex.New(predindex.WithDB(db)), Cache: cacheSize, UseGator: gator})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, func() {
-		if err := bp.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return c
 }
 
 func newCatalog(t testing.TB, disk storage.DiskManager, cacheSize int) *Catalog {
@@ -126,8 +132,12 @@ func TestPinLoadsFromCatalogText(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lt.Stmt.Name != fmt.Sprintf("t%d", id-1) {
-			t.Errorf("loaded name = %q for id %d", lt.Stmt.Name, id)
+		if lt.Info.Name != fmt.Sprintf("t%d", id-1) {
+			t.Errorf("loaded name = %q for id %d", lt.Info.Name, id)
+		}
+		// The compiled action is the trigger's own: t(i) raises E(i).
+		if got, want := raisedEvent(t, lt.Action), fmt.Sprintf("E%d", id-1); got != want {
+			t.Errorf("trigger %d raises %s, want %s", id, got, want)
 		}
 		if lt.Network != nil {
 			t.Error("single-var trigger should have no network")
