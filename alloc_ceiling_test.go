@@ -15,7 +15,6 @@ import (
 	"triggerman/internal/expr"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
-	"triggerman/internal/phasecounter"
 	"triggerman/internal/predindex"
 	"triggerman/internal/retry"
 	"triggerman/internal/storage"
@@ -479,7 +478,7 @@ func matchCall(t *testing.T, org predindex.Organization, kind string) func() {
 	var buf predindex.Buffer
 	return func() {
 		buf.Reset()
-		if err := ix.Match(&buf, tok, predindex.MatchCtx{Part: predindex.AllParts, Slot: phasecounter.NoSlot}); err != nil {
+		if err := ix.Match(&buf, tok, predindex.MatchCtx{Part: predindex.AllParts, Slot: predindex.NoSlot}); err != nil {
 			t.Fatal(err)
 		}
 		if len(buf.Matches) != want {

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"triggerman/internal/catalog"
-	"triggerman/internal/phasecounter"
 	"triggerman/internal/predindex"
 	"triggerman/internal/profile"
+	"triggerman/internal/types"
 )
 
 // TriggerCost is one trigger's attributed cost snapshot, built from the
@@ -53,29 +53,6 @@ type indexzPayload struct {
 	// Hot ranks signature IDs by their exact probe counters, descending
 	// (top 10, zero-probe signatures omitted).
 	Hot []uint64 `json:"hot_signatures,omitempty"`
-	// Contention reports the phase-reconciliation domains: how many
-	// counters run sliced, promotion/demotion totals, and reconcile
-	// recency. The viral-entity runbook starts here.
-	Contention ContentionStats `json:"contention"`
-}
-
-// ContentionStats pairs the system's two phase-reconciliation domains:
-// the predicate index's per-signature and per-constant counters, and
-// the cost-attribution sketch's per-trigger cells. Both share the
-// driver pool's slot geometry and the 100ms reconcile epoch clock.
-type ContentionStats struct {
-	Index   phasecounter.DomainStats `json:"index"`
-	Profile phasecounter.DomainStats `json:"profile"`
-}
-
-// Contention snapshots both phase-reconciliation domains. Embedders
-// and the skew benchmark read it to see whether hot keys are being
-// sliced and how stale the reconciled readings are.
-func (s *System) Contention() ContentionStats {
-	return ContentionStats{
-		Index:   s.pidx.Contention(),
-		Profile: s.prof.Contention(),
-	}
 }
 
 func (s *System) costOf(e profile.Entry) TriggerCost {
@@ -125,7 +102,7 @@ func (s *System) triggerzPayload(k int) triggerzPayload {
 }
 
 func (s *System) indexzPayload() indexzPayload {
-	p := indexzPayload{Signatures: s.pidx.Snapshot(), Contention: s.Contention()}
+	p := indexzPayload{Signatures: s.pidx.Snapshot()}
 	ranked := append([]predindex.SigSnapshot(nil), p.Signatures...)
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].Probes != ranked[j].Probes {
@@ -183,22 +160,10 @@ func (s *System) ExplainTrigger(name string) (string, error) {
 	} else {
 		b.WriteString("predicate index:\n")
 		for _, reg := range regs {
-			fmt.Fprintf(&b, "  sig %d on source %d: %s", reg.SigID, reg.Source, reg.Expr)
+			fmt.Fprintf(&b, "  sig %d on source %d: %s, constant %s", reg.SigID, reg.Source, reg.Expr, types.Tuple(reg.Consts))
 			if sn, ok := snaps[reg.SigID]; ok {
 				fmt.Fprintf(&b, "\n    organization %s (%s), %d instance(s), %d partition(s), est probe %.0fns, probes=%d matches=%d",
 					sn.Org, sn.Structure, sn.Size, sn.Partitions, sn.EstProbeCostNs, sn.Probes, sn.Matches)
-				fmt.Fprintf(&b, "\n    counters %s", sn.Phase)
-				if sn.Phase == "sliced" {
-					fmt.Fprintf(&b, " (%d slice(s))", sn.Slices)
-				}
-				if sn.Reconciles > 0 {
-					fmt.Fprintf(&b, ", %d reconcile(s), last %s ago",
-						sn.Reconciles, time.Duration(sn.LastReconcileAgeNs).Round(time.Millisecond))
-				}
-				for _, hc := range sn.HotConstants {
-					fmt.Fprintf(&b, "\n    hot constant %s: probes=%d matches=%d slices=%d",
-						hc.Consts, hc.Probes, hc.Matches, hc.Slices)
-				}
 			}
 			b.WriteByte('\n')
 		}
@@ -240,21 +205,11 @@ func (s *System) explainIndexText() string {
 		return "predicate index is empty"
 	}
 	var b strings.Builder
-	cs := s.Contention()
-	fmt.Fprintf(&b, "%d expression signature(s) (%d sliced counter(s), %d promotion(s), %d reconcile(s)):\n",
-		len(snaps), cs.Index.Sliced, cs.Index.Promotions, cs.Index.Reconciles)
+	fmt.Fprintf(&b, "%d expression signature(s):\n", len(snaps))
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].ID < snaps[j].ID })
 	for _, sn := range snaps {
-		fmt.Fprintf(&b, "  sig %d source %d %s: %s (%s), %d instance(s), probes=%d matches=%d, counters %s",
-			sn.ID, sn.Source, sn.Expr, sn.Org, sn.Structure, sn.Size, sn.Probes, sn.Matches, sn.Phase)
-		if sn.Phase == "sliced" {
-			fmt.Fprintf(&b, " (%d slice(s))", sn.Slices)
-		}
-		b.WriteByte('\n')
-		for _, hc := range sn.HotConstants {
-			fmt.Fprintf(&b, "    hot constant %s: probes=%d matches=%d slices=%d\n",
-				hc.Consts, hc.Probes, hc.Matches, hc.Slices)
-		}
+		fmt.Fprintf(&b, "  sig %d source %d %s: %s (%s), %d instance(s), probes=%d matches=%d\n",
+			sn.ID, sn.Source, sn.Expr, sn.Org, sn.Structure, sn.Size, sn.Probes, sn.Matches)
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

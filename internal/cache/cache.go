@@ -24,7 +24,10 @@ type Entry struct {
 	Value interface{}
 
 	pins int
-	lru  lru.Node[*Entry] // listed only while unpinned
+	// dropped marks an entry invalidated while pinned: it cannot be
+	// pinned again, and its last Unpin removes it.
+	dropped bool
+	lru     lru.Node[*Entry] // listed only while unpinned
 }
 
 // Loader fetches a trigger description from the catalog on a miss.
@@ -53,6 +56,10 @@ type Cache struct {
 	lru      lru.List[*Entry] // back = least recently used, unpinned only
 	stats    Stats
 	observer Observer
+	// gen counts Invalidate calls. A miss loads outside the lock; if gen
+	// moved meanwhile, the trigger may have been dropped after its row
+	// was read, so the miss loads again rather than install it.
+	gen uint64
 }
 
 // SetObserver installs the event observer (call before concurrent use).
@@ -89,6 +96,11 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
+// errDropped is Pin's error for an entry invalidated while pinned.
+func errDropped(triggerID uint64) error {
+	return fmt.Errorf("cache: trigger %d was dropped", triggerID)
+}
+
 // Pin fetches the trigger description, loading it on a miss, and pins
 // it so it cannot be evicted until Unpin. Callers must pair every Pin
 // with an Unpin.
@@ -96,6 +108,10 @@ func (c *Cache) Pin(triggerID uint64) (*Entry, error) {
 	c.mu.Lock()
 	obs := c.observer
 	if e, ok := c.entries[triggerID]; ok {
+		if e.dropped {
+			c.mu.Unlock()
+			return nil, errDropped(triggerID)
+		}
 		c.stats.Hits++
 		e.pins++
 		c.lru.Remove(&e.lru)
@@ -118,17 +134,30 @@ func (c *Cache) Pin(triggerID uint64) (*Entry, error) {
 		}
 		evicted = append(evicted, victim)
 	}
+	gen := c.gen
 	c.mu.Unlock()
 	c.notify(obs, triggerID, evicted)
 
-	val, err := c.loader(triggerID)
-	if err != nil {
-		return nil, err
+	var val interface{}
+	for {
+		v, err := c.loader(triggerID)
+		if err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		if c.gen == gen {
+			val = v
+			break
+		}
+		gen = c.gen
+		c.mu.Unlock()
 	}
-
-	c.mu.Lock()
 	// Double-check: a concurrent loader may have installed it.
 	if e, ok := c.entries[triggerID]; ok {
+		if e.dropped {
+			c.mu.Unlock()
+			return nil, errDropped(triggerID)
+		}
 		e.pins++
 		c.lru.Remove(&e.lru)
 		c.mu.Unlock()
@@ -166,7 +195,8 @@ func (c *Cache) notify(obs Observer, missed uint64, evicted []uint64) {
 	}
 }
 
-// Unpin releases one pin; at zero pins the entry becomes evictable.
+// Unpin releases one pin; at zero pins the entry becomes evictable, or
+// leaves the cache if it was dropped while pinned.
 func (c *Cache) Unpin(triggerID uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -178,23 +208,33 @@ func (c *Cache) Unpin(triggerID uint64) error {
 		return fmt.Errorf("cache: unpin of unpinned trigger %d", triggerID)
 	}
 	e.pins--
-	if e.pins == 0 {
+	switch {
+	case e.pins > 0:
+	case e.dropped:
+		delete(c.entries, triggerID)
+	default:
 		c.lru.PushFront(&e.lru)
 	}
 	return nil
 }
 
-// Invalidate drops a trigger from the cache (after drop trigger or
-// enable/disable). Pinned entries cannot be invalidated.
+// Invalidate drops a trigger from the cache (after drop trigger). An
+// unpinned entry leaves at once; a pinned one is marked dropped, so no
+// new Pin gets it and the last Unpin removes it. Either way the drop
+// has taken effect, and the error is always nil. Trigger ids are never
+// reused while the process runs, so a dropped entry cannot shadow a
+// newer trigger.
 func (c *Cache) Invalidate(triggerID uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen++
 	e, ok := c.entries[triggerID]
 	if !ok {
 		return nil
 	}
 	if e.pins > 0 {
-		return fmt.Errorf("cache: trigger %d is pinned (%d)", triggerID, e.pins)
+		e.dropped = true
+		return nil
 	}
 	c.lru.Remove(&e.lru)
 	delete(c.entries, triggerID)

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,9 +105,6 @@ func TestUnpinErrors(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := New(4, countingLoader(new(int64)))
 	c.Pin(1)
-	if err := c.Invalidate(1); err == nil {
-		t.Error("invalidate pinned should fail")
-	}
 	c.Unpin(1)
 	if err := c.Invalidate(1); err != nil {
 		t.Fatal(err)
@@ -116,6 +114,79 @@ func TestInvalidate(t *testing.T) {
 	}
 	if err := c.Invalidate(42); err != nil {
 		t.Error("invalidating absent should be a no-op")
+	}
+}
+
+// TestInvalidatePinned: invalidating a pinned entry succeeds and marks
+// it dropped; a new pin of it fails, and the last unpin frees it.
+func TestInvalidatePinned(t *testing.T) {
+	var loads int64
+	c := New(4, countingLoader(&loads))
+	c.Pin(1)
+	c.Pin(1)
+	if err := c.Invalidate(1); err != nil {
+		t.Fatalf("invalidate of a pinned entry: %v", err)
+	}
+	if _, err := c.Pin(1); err == nil || !strings.Contains(err.Error(), "dropped") {
+		t.Fatalf("pin of a dropped entry: %v, want the dropped error", err)
+	}
+	if err := c.Unpin(1); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Resident(1) {
+		t.Fatal("dropped entry left while still pinned")
+	}
+	if err := c.Unpin(1); err != nil {
+		t.Fatal(err)
+	}
+	if c.Resident(1) || c.Len() != 0 {
+		t.Fatalf("last unpin left the dropped entry resident (len %d)", c.Len())
+	}
+	// Freed, not listed: filling the cache evicts nothing stale.
+	for id := uint64(2); id <= 5; id++ {
+		if _, err := c.Pin(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 0 || loads != 5 {
+		t.Fatalf("stats %+v after %d loads, want no evictions and 5 loads", st, loads)
+	}
+}
+
+// TestInvalidateDuringLoad: a drop that lands while a miss loads the
+// trigger outside the lock must not leave the dropped description
+// installed; the miss loads again and sees the drop.
+func TestInvalidateDuringLoad(t *testing.T) {
+	var dropped atomic.Bool
+	loading, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	c := New(4, func(id uint64) (interface{}, error) {
+		if calls.Add(1) == 1 {
+			close(loading)
+			<-release // the row was read before the drop
+			return "desc", nil
+		}
+		if dropped.Load() {
+			return nil, fmt.Errorf("trigger %d dropped", id)
+		}
+		return "desc", nil
+	})
+	done := make(chan error)
+	go func() {
+		_, err := c.Pin(1)
+		done <- err
+	}()
+	<-loading
+	dropped.Store(true)
+	if err := c.Invalidate(1); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "dropped") {
+		t.Fatalf("pin racing a drop: %v, want the dropped error", err)
+	}
+	if c.Resident(1) {
+		t.Fatal("dropped trigger installed by a load that raced its drop")
 	}
 }
 

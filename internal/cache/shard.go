@@ -45,7 +45,7 @@ func (s *Sharded) Unpin(triggerID uint64) error {
 	return s.shard(triggerID).Unpin(triggerID)
 }
 
-// Invalidate drops an unpinned entry.
+// Invalidate drops an entry; a pinned one leaves at its last Unpin.
 func (s *Sharded) Invalidate(triggerID uint64) error {
 	return s.shard(triggerID).Invalidate(triggerID)
 }

@@ -3,7 +3,6 @@ package predindex
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -11,7 +10,6 @@ import (
 	"triggerman/internal/intervalskiplist"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
-	"triggerman/internal/phasecounter"
 	"triggerman/internal/storage"
 	"triggerman/internal/types"
 )
@@ -34,30 +32,16 @@ type constantSet interface {
 	// describe names the concrete predicate-testing structure for
 	// introspection (/indexz, explain).
 	describe() string
-	// hotConstants lists the set's contended constants (centries whose
-	// probe counters went sliced), hottest first, at most max. Table
-	// organizations return nil: their per-row state lives in SQL, not
-	// in shared memory, so there is nothing to slice.
-	hotConstants(max int) []HotConst
 }
 
 // centry is one constant (or constant tuple) with its triggerID set,
 // round-robin partitioned per Figure 5.
-//
-// cProbes counts tokens whose indexable part landed on this constant;
-// cMatches counts refs streamed to the rest-test from it. Both are
-// phase-reconciled: a viral constant's tallies split into per-driver
-// slices instead of bouncing one cache line across every core, and a
-// sliced centry is exactly what Snapshot reports as a hot constant.
 type centry struct {
 	id     uint64
 	consts types.Tuple
 	eqKey  []byte // set for equality signatures
 	parts  [][]Ref
 	rr     int // round-robin cursor for partition assignment
-
-	cProbes  phasecounter.Counter
-	cMatches phasecounter.Counter
 }
 
 func (c *centry) addRef(ref Ref) {
@@ -80,22 +64,15 @@ func (c *centry) removeRef(exprID uint64) bool {
 	return false
 }
 
-// appendCounted charges the centry's phase-reconciled probe/match stats
-// and appends the selected partition(s) to buf.Matches. The probe charge
-// lands first (a token consulted this constant); the match charge
-// batches the appended-ref count in one add.
-func (c *centry) appendCounted(buf *Buffer, part int) {
-	c.cProbes.Add(buf.dom, buf.slot, 1)
-	before := len(buf.Matches)
+// appendTo appends the selected partition(s) to buf.Matches (every
+// partition when part is negative).
+func (c *centry) appendTo(buf *Buffer, part int) {
 	if part >= 0 {
 		buf.appendRefs(c.parts[part%len(c.parts)])
-	} else {
-		for _, p := range c.parts {
-			buf.appendRefs(p)
-		}
+		return
 	}
-	if n := len(buf.Matches) - before; n != 0 {
-		c.cMatches.Add(buf.dom, buf.slot, int64(n))
+	for _, p := range c.parts {
+		buf.appendRefs(p)
 	}
 }
 
@@ -123,29 +100,6 @@ func (c *centry) repartition(n int) {
 	for _, r := range all {
 		c.addRef(r)
 	}
-}
-
-// collectHot gathers the sliced centries seen by visit, hottest first,
-// capped at max — the shared body behind the memory organizations'
-// hotConstants.
-func collectHot(max int, visit func(fn func(*centry))) []HotConst {
-	var out []HotConst
-	visit(func(c *centry) {
-		if c.cProbes.Phase() != phasecounter.PhaseSliced {
-			return
-		}
-		out = append(out, HotConst{
-			Consts:  c.consts.String(),
-			Probes:  c.cProbes.Value(),
-			Matches: c.cMatches.Value(),
-			Slices:  c.cProbes.Slices(),
-		})
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Probes > out[j].Probes })
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
 }
 
 // matchesIndexable tests the signature's indexable part for one constant
@@ -256,7 +210,7 @@ func (m *memList) match(buf *Buffer, tuple types.Tuple, part int) (int, error) {
 	eqp := eqProbeFor(m.sig, tuple, buf)
 	for _, c := range m.entries {
 		if matchesIndexable(m.sig, c, tuple, eqp) {
-			c.appendCounted(buf, part)
+			c.appendTo(buf, part)
 		}
 	}
 	return len(m.entries), nil
@@ -285,14 +239,6 @@ func (m *memList) repartition(n int) error {
 
 func (m *memList) describe() string {
 	return fmt.Sprintf("linear list, %d constant(s)", len(m.entries))
-}
-
-func (m *memList) hotConstants(max int) []HotConst {
-	return collectHot(max, func(fn func(*centry)) {
-		for _, c := range m.entries {
-			fn(c)
-		}
-	})
 }
 
 // --- organization 2: main-memory index ---
@@ -442,7 +388,7 @@ func (m *memIndex) match(buf *Buffer, tuple types.Tuple, part int) (int, error) 
 	case expr.IndexEquality:
 		eqp := eqProbeFor(m.sig, tuple, buf)
 		if c, ok := m.byKey[string(eqp)]; ok {
-			c.appendCounted(buf, part)
+			c.appendTo(buf, part)
 		}
 		return 1, nil
 	case expr.IndexRange:
@@ -454,7 +400,7 @@ func (m *memIndex) match(buf *Buffer, tuple types.Tuple, part int) (int, error) 
 		m.isl.Stab(v, func(iv intervalskiplist.Interval) bool {
 			compares++
 			if c, ok := m.byID[iv.ID]; ok {
-				c.appendCounted(buf, part)
+				c.appendTo(buf, part)
 			}
 			return true
 		})
@@ -464,7 +410,7 @@ func (m *memIndex) match(buf *Buffer, tuple types.Tuple, part int) (int, error) 
 		return compares, nil
 	default:
 		for _, c := range m.plain {
-			c.appendCounted(buf, part)
+			c.appendTo(buf, part)
 		}
 		return len(m.plain), nil
 	}
@@ -511,20 +457,6 @@ func (m *memIndex) repartition(n int) error {
 		c.repartition(n)
 	}
 	return nil
-}
-
-func (m *memIndex) hotConstants(max int) []HotConst {
-	return collectHot(max, func(fn func(*centry)) {
-		for _, c := range m.byKey {
-			fn(c)
-		}
-		for _, c := range m.byID {
-			fn(c)
-		}
-		for _, c := range m.plain {
-			fn(c)
-		}
-	})
 }
 
 func (m *memIndex) describe() string {
@@ -804,8 +736,6 @@ func (ts *tableSet) repartition(n int) error {
 	ts.nparts = n
 	return nil
 }
-
-func (ts *tableSet) hotConstants(int) []HotConst { return nil }
 
 func (ts *tableSet) describe() string {
 	if ts.indexed {

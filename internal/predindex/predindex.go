@@ -26,7 +26,6 @@ import (
 	"triggerman/internal/expr"
 	"triggerman/internal/metrics"
 	"triggerman/internal/minisql"
-	"triggerman/internal/phasecounter"
 	"triggerman/internal/profile"
 	"triggerman/internal/types"
 )
@@ -117,8 +116,8 @@ type Match struct {
 	SourceID int32
 }
 
-// Stats counts index activity for the experiments. Counters are
-// updated atomically; a snapshot is returned by Index.Stats.
+// Stats counts index activity for the experiments. Index.Stats sums
+// the per-slot tallies into one.
 type Stats struct {
 	Tokens        int64 // tokens probed
 	SigProbes     int64 // signature entries consulted
@@ -258,24 +257,11 @@ type Index struct {
 	sources atomic.Pointer[map[int32]*sourceShard]
 	nextSig atomic.Uint64
 
-	// dom is the phase-reconciliation domain: every hot counter in the
-	// index (index-wide tallies, per-signature probe/match counters,
-	// per-centry stats) slices per driver slot through it when
-	// contended, and the embedding system's epoch tick folds the slices
-	// back via Reconcile.
-	dom *phasecounter.Domain
-
-	// stats are the index-wide tallies. They are touched by every
-	// driver on every token, so they are pre-split into per-slot
-	// slices at construction — guaranteed-contended counters never run
-	// a plain phase.
-	stats struct {
-		tokens        phasecounter.Counter
-		sigProbes     phasecounter.Counter
-		constCompares phasecounter.Counter
-		restTests     phasecounter.Counter
-		matches       phasecounter.Counter
-	}
+	// slots is the tally geometry: one line per driver slot.
+	slots int
+	// stats are the index-wide tallies, touched by every driver on
+	// every token.
+	stats tallies
 
 	// Registry-backed instruments (nil without WithMetrics): per-
 	// organization probe counters indexed by Organization, and a probe
@@ -309,11 +295,6 @@ type ReorgEvent struct {
 	// FromCostNs and ToCostNs are the cost model's per-probe estimates
 	// for the class at this size under each organization.
 	FromCostNs, ToCostNs float64
-	// Probes is the signature's probe counter as of the last reconcile
-	// epoch — the reading reorganization decisions weight cost against.
-	// Stale by at most one epoch (see CostModel's staleness contract);
-	// never torn, never mid-fold.
-	Probes int64
 }
 
 // sourceShard is one data source's slice of the index. The signature
@@ -356,16 +337,9 @@ type SignatureEntry struct {
 	partitions int
 	size       int // expression instances stored
 
-	// Lock-free introspection counters: tokens consulted against this
-	// signature and refs matched through it. Phase-reconciled: a
-	// signature hammered from many drivers splits them into per-slot
-	// slices (see internal/phasecounter); Snapshot's counts stay exact
-	// either way.
-	cProbes  phasecounter.Counter
-	cMatches phasecounter.Counter
-	// dom backlinks to the owning index's reconcile domain so counter
-	// updates can promote without reaching through the root.
-	dom *phasecounter.Domain
+	// tallies count, per driver slot, the tokens consulted against this
+	// signature (tTokens) and the refs matched through it (tMatches).
+	tallies tallies
 }
 
 // Option configures an Index.
@@ -393,12 +367,11 @@ func WithReorgHook(fn func(ReorgEvent)) Option {
 	return func(ix *Index) { ix.reorgHook = fn }
 }
 
-// WithSlots sets the slice geometry for phase-reconciled counters to
-// the driver pool's slot count, so a contended key gets exactly one
-// slice per worker. Without it the geometry defaults to GOMAXPROCS —
-// correct but potentially wider than the pool.
+// WithSlots sets the tally geometry to the driver pool's slot count, so
+// each worker counts on a line of its own. Without it the geometry
+// defaults to GOMAXPROCS — correct but potentially wider than the pool.
 func WithSlots(n int) Option {
-	return func(ix *Index) { ix.dom = phasecounter.NewDomain(n) }
+	return func(ix *Index) { ix.slots = n }
 }
 
 // WithMetrics registers the index's instruments with reg: a probe
@@ -423,32 +396,12 @@ func New(opts ...Option) *Index {
 	for _, o := range opts {
 		o(ix)
 	}
-	if ix.dom == nil {
-		ix.dom = phasecounter.NewDomain(runtime.GOMAXPROCS(0))
+	if ix.slots < 1 {
+		ix.slots = runtime.GOMAXPROCS(0)
 	}
-	// The index-wide tallies are touched by every driver on every
-	// token — guaranteed contention, so split them up front rather than
-	// waiting for the writer-switch probe to notice.
-	ix.stats.tokens.Split(ix.dom)
-	ix.stats.sigProbes.Split(ix.dom)
-	ix.stats.constCompares.Split(ix.dom)
-	ix.stats.restTests.Split(ix.dom)
-	ix.stats.matches.Split(ix.dom)
+	ix.stats = newTallies(ix.slots)
 	return ix
 }
-
-// Reconcile runs one phase-reconciliation epoch: every sliced counter
-// in the index (index-wide tallies, per-signature and per-centry
-// stats) folds its per-driver slices into its base cell, refreshing
-// the reconciled readings that reorganization decisions and snapshots
-// consume. The embedding system ticks this on its epoch timer;
-// Stats() and Snapshot()'s probe and match counts are exact without it.
-func (ix *Index) Reconcile() { ix.dom.Reconcile() }
-
-// Contention snapshots the index's phase-reconciliation domain: how
-// many counters are sliced, promote/demote totals, and reconcile epoch
-// recency. /indexz exposes it for the viral-entity runbook.
-func (ix *Index) Contention() phasecounter.DomainStats { return ix.dom.Stats() }
 
 // shard loads the current root map and looks up one source (lock-free).
 func (ix *Index) shard(source int32) (*sourceShard, bool) {
@@ -457,15 +410,15 @@ func (ix *Index) shard(source int32) (*sourceShard, bool) {
 	return s, ok
 }
 
-// Stats returns a snapshot of the index counters. Exact: sliced
-// counters sum their live per-driver slices.
+// Stats returns a snapshot of the index counters, each summed over
+// the driver slots.
 func (ix *Index) Stats() Stats {
 	return Stats{
-		Tokens:        ix.stats.tokens.Value(),
-		SigProbes:     ix.stats.sigProbes.Value(),
-		ConstCompares: ix.stats.constCompares.Value(),
-		RestTests:     ix.stats.restTests.Value(),
-		Matches:       ix.stats.matches.Value(),
+		Tokens:        ix.stats.sum(tTokens),
+		SigProbes:     ix.stats.sum(tSigProbes),
+		ConstCompares: ix.stats.sum(tConstCompares),
+		RestTests:     ix.stats.sum(tRestTests),
+		Matches:       ix.stats.sum(tMatches),
 	}
 }
 
@@ -529,7 +482,7 @@ func (ix *Index) AddPredicate(source int32, mask EventMask, sig *expr.Signature,
 			Sig:        sig,
 			schema:     si.schema,
 			partitions: 1,
-			dom:        ix.dom,
+			tallies:    newTallies(ix.slots),
 		}
 		org := ix.forceOrg
 		if org == OrgAuto {
@@ -660,9 +613,6 @@ func (ix *Index) migrate(e *SignatureEntry, want Organization) error {
 			Size:       e.size,
 			FromCostNs: m.ProbeCost(from, e.size),
 			ToCostNs:   m.ProbeCost(want, e.size),
-			// Reconciled, not live: the decision path reads the folded
-			// value so a mid-probe slice delta can never tear the event.
-			Probes: e.cProbes.Reconciled(),
 		})
 	}
 	return nil
@@ -695,9 +645,8 @@ func (ix *Index) newSet(e *SignatureEntry, org Organization) (constantSet, error
 // MatchCtx says which slice of the index a probe visits and on whose
 // behalf: Part restricts every triggerID set to one round-robin
 // partition (task type 3 of §6; AllParts visits them all), Slot is the
-// prober's stable driver slot (taskq Task.RunSlot), so counter updates
-// for a hot key land in that worker's own slice (phasecounter.NoSlot
-// outside any driver).
+// prober's stable driver slot (taskq Task.RunSlot), so its tallies land
+// on that worker's own line (NoSlot outside any driver).
 type MatchCtx struct {
 	Part, Slot int
 }
@@ -716,11 +665,6 @@ type Buffer struct {
 	Matches []Match
 	key     []byte         // equality probe key
 	env     expr.SingleEnv // rest-of-predicate environment; passed by pointer, so not boxed per test
-	// The prober's worker identity and the reconcile domain, set by Match
-	// and read by the constant-set organizations so per-centry counters
-	// can slice per driver.
-	dom  *phasecounter.Domain
-	slot int
 }
 
 // Reset empties the buffer, keeping its capacity and dropping every
@@ -737,7 +681,7 @@ func (b *Buffer) Reset() {
 // false.
 func (ix *Index) MatchToken(tok datasource.Token, fn func(Match) bool) error {
 	var buf Buffer
-	err := ix.Match(&buf, tok, MatchCtx{Part: AllParts, Slot: phasecounter.NoSlot})
+	err := ix.Match(&buf, tok, MatchCtx{Part: AllParts, Slot: NoSlot})
 	for _, m := range buf.Matches {
 		if !fn(m) {
 			break
@@ -768,8 +712,8 @@ func (ix *Index) Match(buf *Buffer, tok datasource.Token, ctx MatchCtx) error {
 	}
 	sigs := si.signatures()
 
-	buf.dom, buf.slot = ix.dom, slot
-	ix.stats.tokens.Add(ix.dom, slot, 1)
+	stats := ix.stats.at(slot)
+	stats.n[tTokens].Add(1)
 	tuple := tok.Effective()
 	var sigProbes, restTests, matches int64
 	for _, e := range sigs {
@@ -781,7 +725,7 @@ func (ix *Index) Match(buf *Buffer, tok datasource.Token, ctx MatchCtx) error {
 		// organizations mutate their structures in place under the entry
 		// write lock, so a probe overlapping an AddPredicate must hold the
 		// reader side. Probes share it — probe-vs-probe stays concurrent —
-		// and per-probe tallies are phase-reconciled counters, so the only
+		// and each prober tallies on its own slot's line, so the only
 		// shared read-modify-write left on this path is the lock word
 		// itself. Nothing but the index's own code runs under it: the
 		// candidates are buffered, and the caller routes them after Match
@@ -799,7 +743,8 @@ func (ix *Index) Match(buf *Buffer, tok datasource.Token, ctx MatchCtx) error {
 		if probePart >= parts {
 			probePart = probePart % parts
 		}
-		e.cProbes.Add(ix.dom, slot, 1)
+		sig := e.tallies.at(slot)
+		sig.n[tTokens].Add(1)
 		first := len(buf.Matches)
 		compares, err := set.match(buf, tuple, probePart)
 		e.mu.RUnlock()
@@ -821,13 +766,13 @@ func (ix *Index) Match(buf *Buffer, tok datasource.Token, ctx MatchCtx) error {
 					// Charge the failed probe on this cold branch; the hot
 					// (matching) branch folds probe+match into one lookup.
 					if p := ix.prof; p != nil {
-						p.MatchProbe(m.TriggerID, slot)
+						p.MatchProbe(m.TriggerID)
 					}
 					continue
 				}
 			}
 			if p := ix.prof; p != nil {
-				p.MatchHit(m.TriggerID, slot)
+				p.MatchHit(m.TriggerID)
 			}
 			m.SourceID = tok.SourceID
 			kept = append(kept, m)
@@ -836,21 +781,21 @@ func (ix *Index) Match(buf *Buffer, tok datasource.Token, ctx MatchCtx) error {
 		buf.Matches = kept
 		if n := int64(len(kept) - first); n > 0 {
 			matches += n
-			e.cMatches.Add(ix.dom, slot, n)
+			sig.n[tMatches].Add(n)
 		}
-		ix.stats.constCompares.Add(ix.dom, slot, int64(compares))
+		stats.n[tConstCompares].Add(int64(compares))
 		if err != nil {
 			return err
 		}
 	}
 	if sigProbes > 0 {
-		ix.stats.sigProbes.Add(ix.dom, slot, sigProbes)
+		stats.n[tSigProbes].Add(sigProbes)
 	}
 	if restTests > 0 {
-		ix.stats.restTests.Add(ix.dom, slot, restTests)
+		stats.n[tRestTests].Add(restTests)
 	}
 	if matches > 0 {
-		ix.stats.matches.Add(ix.dom, slot, matches)
+		stats.n[tMatches].Add(matches)
 	}
 	return nil
 }
@@ -875,31 +820,6 @@ type SigSnapshot struct {
 	// EstProbeCostNs is the cost model's estimate for one probe against
 	// this class at its current size and organization.
 	EstProbeCostNs float64 `json:"est_probe_cost_ns"`
-	// Phase-reconciliation state of the signature's probe counter:
-	// "plain" (single shared cell) or "sliced" (per-driver slices —
-	// the counter proved contended), with the live slice count, how
-	// many reconcile epochs have folded it, and the age of the latest
-	// fold (-1 before the first). ReconciledProbes is the folded probe
-	// reading the cost model consumes (stale ≤ 1 epoch).
-	Phase              string `json:"phase"`
-	Slices             int    `json:"slices"`
-	Reconciles         int64  `json:"reconciles"`
-	LastReconcileAgeNs int64  `json:"last_reconcile_age_ns"`
-	ReconciledProbes   int64  `json:"reconciled_probes"`
-	// HotConstants lists this signature's contended constants — centries
-	// whose own probe counters went sliced (a viral entity shows up
-	// here), hottest first. Empty when nothing is contended or the set
-	// lives in a table organization.
-	HotConstants []HotConst `json:"hot_constants,omitempty"`
-}
-
-// HotConst is one contended constant inside a signature's set: its
-// rendered constant tuple, exact probe/match tallies, and slice count.
-type HotConst struct {
-	Consts  string `json:"consts"`
-	Probes  int64  `json:"probes"`
-	Matches int64  `json:"matches"`
-	Slices  int    `json:"slices"`
 }
 
 // Snapshot dumps every signature on every source, ordered by source ID
@@ -929,25 +849,11 @@ func (ix *Index) Snapshot() []SigSnapshot {
 			Size:           e.size,
 			Partitions:     e.partitions,
 			EstProbeCostNs: m.ProbeCost(e.org, e.size),
-			HotConstants:   e.set.hotConstants(maxHotConstants),
 		}
 		e.mu.RUnlock()
-		snap.Probes = e.cProbes.Value()
-		snap.Matches = e.cMatches.Value()
-		snap.Phase = e.cProbes.Phase().String()
-		snap.Slices = e.cProbes.Slices()
-		snap.Reconciles = e.cProbes.Reconciles()
-		snap.LastReconcileAgeNs = -1
-		if last := e.cProbes.LastReconcile(); !last.IsZero() {
-			snap.LastReconcileAgeNs = time.Since(last).Nanoseconds()
-		}
-		snap.ReconciledProbes = e.cProbes.Reconciled()
+		snap.Probes = e.tallies.sum(tTokens)
+		snap.Matches = e.tallies.sum(tMatches)
 		out = append(out, snap)
 	}
 	return out
 }
-
-// maxHotConstants bounds the per-signature contended-constant list in
-// snapshots; a healthy index has zero, a viral-entity incident a
-// handful.
-const maxHotConstants = 8

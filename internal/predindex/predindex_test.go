@@ -10,7 +10,6 @@ import (
 	"triggerman/internal/expr"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
-	"triggerman/internal/phasecounter"
 	"triggerman/internal/storage"
 	"triggerman/internal/types"
 )
@@ -316,7 +315,7 @@ func TestPartitionedTriggerIDSets(t *testing.T) {
 	total := 0
 	for p := 0; p < 4; p++ {
 		var buf Buffer
-		if err := ix.Match(&buf, tok, MatchCtx{Part: p, Slot: phasecounter.NoSlot}); err != nil {
+		if err := ix.Match(&buf, tok, MatchCtx{Part: p, Slot: NoSlot}); err != nil {
 			t.Fatal(err)
 		}
 		ms := buf.Matches

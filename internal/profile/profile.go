@@ -37,8 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"triggerman/internal/phasecounter"
 )
 
 // Metric enumerates the quantities attributed to each entity.
@@ -93,17 +91,12 @@ func (e Entry) Selectivity() float64 {
 	return float64(e.Counts[Matches]) / float64(e.Counts[Probes])
 }
 
-// cell holds one tracked key's attribution state. The weight and the
-// per-metric counts are phase-reconciled: on a sliced sketch a viral
-// trigger's tallies split into per-driver slices (either proven
-// contended by the writer-switch probe, or pre-split by top-K rank at
-// reconcile time) instead of bouncing shared cache lines across every
-// driver. Err never slices — it is written only under the bucket mutex
-// during admission.
+// cell holds one tracked key's attribution state. Err is written only
+// under the bucket mutex during admission.
 type cell struct {
-	weight phasecounter.Counter
+	weight atomic.Int64
 	err    atomic.Int64
-	counts [numMetrics]phasecounter.Counter
+	counts [numMetrics]atomic.Int64
 }
 
 // bucket packs its keys into a contiguous array — one 64-byte cache
@@ -136,25 +129,11 @@ type Sketch struct {
 	buckets   []bucket
 	mask      uint64
 	evictions atomic.Int64
-	// dom, when set, gives the sketch's counters per-driver slice
-	// geometry and a reconcile clock (NewSketch with slots > 0); nil
-	// keeps every counter on the plain path.
-	dom *phasecounter.Domain
 }
-
-// sliceTopK is how many of the sketch's heaviest keys are proactively
-// split at each reconcile tick: a key in the top ranks is hot by
-// definition, so its counters go sliced without waiting for the
-// writer-switch probe to prove contention.
-const sliceTopK = 8
 
 // NewSketch builds a sketch tracking at least capacity entities
 // (rounded up to a power-of-two bucket count times the associativity).
-// With slots > 0 its hot keys split into that many per-driver slices:
-// updates carrying a driver slot route through the slices once a key
-// promotes — by the counter's own contention probe or by top-K rank at
-// a Reconcile tick. slots == 0 keeps every counter plain.
-func NewSketch(capacity, slots int) *Sketch {
+func NewSketch(capacity int) *Sketch {
 	if capacity < ways {
 		capacity = ways
 	}
@@ -162,52 +141,8 @@ func NewSketch(capacity, slots int) *Sketch {
 	for n*ways < capacity {
 		n <<= 1
 	}
-	s := &Sketch{buckets: make([]bucket, n), mask: uint64(n - 1)}
-	if slots > 0 {
-		s.dom = phasecounter.NewDomain(slots)
-	}
-	return s
+	return &Sketch{buckets: make([]bucket, n), mask: uint64(n - 1)}
 }
-
-// Reconcile runs one epoch on a sliced sketch: the heaviest tracked
-// keys are pre-split by rank, then every sliced counter folds its
-// slice deltas and refreshes its reconciled reading (cold ones demote).
-// No-op on a plain sketch.
-func (s *Sketch) Reconcile() {
-	if s.dom == nil {
-		return
-	}
-	type ranked struct {
-		w int64
-		c *cell
-	}
-	var top []ranked
-	for bi := range s.buckets {
-		b := &s.buckets[bi]
-		for i := range b.keys {
-			if b.keys[i].Load() == 0 {
-				continue
-			}
-			c := &b.cells[i]
-			top = append(top, ranked{c.weight.Value(), c})
-		}
-	}
-	sort.Slice(top, func(i, j int) bool { return top[i].w > top[j].w })
-	if len(top) > sliceTopK {
-		top = top[:sliceTopK]
-	}
-	for _, r := range top {
-		r.c.weight.Split(s.dom)
-		for m := range r.c.counts {
-			r.c.counts[m].Split(s.dom)
-		}
-	}
-	s.dom.Reconcile()
-}
-
-// Contention snapshots the sketch's phase-reconciliation domain (zero
-// value for a plain sketch).
-func (s *Sketch) Contention() phasecounter.DomainStats { return s.dom.Stats() }
 
 // Capacity reports the number of entities the sketch can track.
 func (s *Sketch) Capacity() int { return len(s.buckets) * ways }
@@ -224,11 +159,8 @@ func mix(x uint64) uint64 {
 
 // Add charges delta of metric m to key. Keys already tracked pay two
 // atomic adds after at most `ways` atomic loads from one cache line;
-// new keys take the bucket mutex for (possibly sampled) admission. slot
-// is the caller's stable driver slot (phasecounter.NoSlot outside any
-// driver): on a sliced sketch, updates to a promoted key land in the
-// slot's own slice instead of the shared cell.
-func (s *Sketch) Add(key uint64, slot int, m Metric, delta int64) {
+// new keys take the bucket mutex for (possibly sampled) admission.
+func (s *Sketch) Add(key uint64, m Metric, delta int64) {
 	if key == 0 {
 		return
 	}
@@ -236,13 +168,13 @@ func (s *Sketch) Add(key uint64, slot int, m Metric, delta int64) {
 	for i := range b.keys {
 		if b.keys[i].Load() == key {
 			c := &b.cells[i]
-			c.counts[m].Add(s.dom, slot, delta)
-			c.weight.Add(s.dom, slot, 1)
+			c.counts[m].Add(delta)
+			c.weight.Add(1)
 			return
 		}
 	}
-	s.admitCell(b, key, slot, func(c *cell) {
-		c.counts[m].Add(s.dom, slot, delta)
+	s.admitCell(b, key, func(c *cell) {
+		c.counts[m].Add(delta)
 	})
 }
 
@@ -250,7 +182,7 @@ func (s *Sketch) Add(key uint64, slot int, m Metric, delta int64) {
 // match hot path charges Probes and Matches together, so folding both
 // into one scan halves its sketch cost. The update counts as one event
 // for the space-saving rank.
-func (s *Sketch) Add2(key uint64, slot int, m1 Metric, d1 int64, m2 Metric, d2 int64) {
+func (s *Sketch) Add2(key uint64, m1 Metric, d1 int64, m2 Metric, d2 int64) {
 	if key == 0 {
 		return
 	}
@@ -258,15 +190,15 @@ func (s *Sketch) Add2(key uint64, slot int, m1 Metric, d1 int64, m2 Metric, d2 i
 	for i := range b.keys {
 		if b.keys[i].Load() == key {
 			c := &b.cells[i]
-			c.counts[m1].Add(s.dom, slot, d1)
-			c.counts[m2].Add(s.dom, slot, d2)
-			c.weight.Add(s.dom, slot, 1)
+			c.counts[m1].Add(d1)
+			c.counts[m2].Add(d2)
+			c.weight.Add(1)
 			return
 		}
 	}
-	s.admitCell(b, key, slot, func(c *cell) {
-		c.counts[m1].Add(s.dom, slot, d1)
-		c.counts[m2].Add(s.dom, slot, d2)
+	s.admitCell(b, key, func(c *cell) {
+		c.counts[m1].Add(d1)
+		c.counts[m2].Add(d2)
 	})
 }
 
@@ -274,7 +206,7 @@ func (s *Sketch) Add2(key uint64, slot int, m1 Metric, d1 int64, m2 Metric, d2 i
 // charge always runs against zeroed (or already-live) counts, so it
 // adds unconditionally. Full-bucket replacement is sampled (see
 // admissionSample); sampled-out updates are dropped.
-func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)) {
+func (s *Sketch) admitCell(b *bucket, key uint64, charge func(c *cell)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	empty, min := -1, -1
@@ -285,7 +217,7 @@ func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)
 			// Admitted by a concurrent caller while we waited.
 			c := &b.cells[i]
 			charge(c)
-			c.weight.Add(s.dom, slot, 1)
+			c.weight.Add(1)
 			return
 		}
 		if k == 0 {
@@ -294,7 +226,7 @@ func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)
 			}
 			continue
 		}
-		if w := b.cells[i].weight.Value(); w < minW {
+		if w := b.cells[i].weight.Load(); w < minW {
 			minW, min = w, i
 		}
 	}
@@ -302,7 +234,7 @@ func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)
 		c := &b.cells[empty]
 		charge(c)
 		c.err.Store(0)
-		c.weight.Reset(1)
+		c.weight.Store(1)
 		b.keys[empty].Store(key) // publish last
 		return
 	}
@@ -312,18 +244,16 @@ func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)
 	}
 	// Space-saving replacement: the newcomer inherits the victim's
 	// weight as its rank and error bound; per-metric counts restart (an
-	// under-estimate for re-admitted keys, bounded by Err). A recycled
-	// cell keeps its slice block: the new occupant of a hot bucket is
-	// itself likely hot, and Reset zeroes the slices.
+	// under-estimate for re-admitted keys, bounded by Err).
 	s.evictions.Add(1)
 	c := &b.cells[min]
 	b.keys[min].Store(key)
 	for i := range c.counts {
-		c.counts[i].Reset(0)
+		c.counts[i].Store(0)
 	}
 	charge(c)
 	c.err.Store(minW)
-	c.weight.Reset(minW + 1)
+	c.weight.Store(minW + 1)
 }
 
 // Get returns the tracked entry for key, if present.
@@ -341,9 +271,9 @@ func (s *Sketch) Get(key uint64) (Entry, bool) {
 }
 
 func snapshotCell(key uint64, c *cell) Entry {
-	e := Entry{Key: key, Weight: c.weight.Value(), Err: c.err.Load()}
+	e := Entry{Key: key, Weight: c.weight.Load(), Err: c.err.Load()}
 	for i := range c.counts {
-		e.Counts[i] = c.counts[i].Value()
+		e.Counts[i] = c.counts[i].Load()
 	}
 	return e
 }
@@ -420,52 +350,32 @@ type Profiler struct {
 const DefaultCapacity = 1024
 
 // New builds a profiler tracking up to capacity triggers (<= 0 takes
-// DefaultCapacity). With slots > 0 hot triggers' tallies split into
-// per-driver slices (see NewSketch) and the system ticks Reconcile on
-// its epoch timer.
-func New(capacity, slots int) *Profiler {
+// DefaultCapacity).
+func New(capacity int) *Profiler {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Profiler{Triggers: NewSketch(capacity, slots)}
-}
-
-// Reconcile runs one fold epoch on the trigger sketch (no-op for a
-// plain or nil profiler).
-func (p *Profiler) Reconcile() {
-	if p == nil {
-		return
-	}
-	p.Triggers.Reconcile()
-}
-
-// Contention snapshots the trigger sketch's phase-reconciliation state.
-func (p *Profiler) Contention() phasecounter.DomainStats {
-	if p == nil {
-		return phasecounter.DomainStats{}
-	}
-	return p.Triggers.Contention()
+	return &Profiler{Triggers: NewSketch(capacity)}
 }
 
 // MatchProbe charges one candidate-ref delivery whose rest-of-predicate
 // test failed. (Candidates that match are charged by MatchHit, which
 // folds the probe and the match into one sketch lookup — the match path
-// pays at most one lookup per candidate either way.) slot is the
-// probing driver's slot.
-func (p *Profiler) MatchProbe(triggerID uint64, slot int) {
+// pays at most one lookup per candidate either way.)
+func (p *Profiler) MatchProbe(triggerID uint64) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add(triggerID, slot, Probes, 1)
+	p.Triggers.Add(triggerID, Probes, 1)
 }
 
 // MatchHit charges one candidate-ref delivery that passed its whole
 // selection predicate: a probe and a match in a single lookup.
-func (p *Profiler) MatchHit(triggerID uint64, slot int) {
+func (p *Profiler) MatchHit(triggerID uint64) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add2(triggerID, slot, Probes, 1, Matches, 1)
+	p.Triggers.Add2(triggerID, Probes, 1, Matches, 1)
 }
 
 // ObserveAction charges one rule-action execution and its wall time.
@@ -473,7 +383,7 @@ func (p *Profiler) ObserveAction(triggerID uint64, d time.Duration) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add2(triggerID, phasecounter.NoSlot, ActionRuns, 1, ActionNanos, d.Nanoseconds())
+	p.Triggers.Add2(triggerID, ActionRuns, 1, ActionNanos, d.Nanoseconds())
 }
 
 // ActionFailure charges one quarantined firing.
@@ -481,7 +391,7 @@ func (p *Profiler) ActionFailure(triggerID uint64) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add(triggerID, phasecounter.NoSlot, Failures, 1)
+	p.Triggers.Add(triggerID, Failures, 1)
 }
 
 // ActionRetries charges retry attempts beyond the first.
@@ -489,7 +399,7 @@ func (p *Profiler) ActionRetries(triggerID uint64, attempts int) {
 	if p == nil || attempts <= 1 {
 		return
 	}
-	p.Triggers.Add(triggerID, phasecounter.NoSlot, Retries, int64(attempts-1))
+	p.Triggers.Add(triggerID, Retries, int64(attempts-1))
 }
 
 // CacheHit charges one trigger-cache pin hit.
@@ -497,7 +407,7 @@ func (p *Profiler) CacheHit(triggerID uint64) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add(triggerID, phasecounter.NoSlot, CacheHits, 1)
+	p.Triggers.Add(triggerID, CacheHits, 1)
 }
 
 // CacheMiss charges one trigger-cache pin miss.
@@ -505,7 +415,7 @@ func (p *Profiler) CacheMiss(triggerID uint64) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add(triggerID, phasecounter.NoSlot, CacheMisses, 1)
+	p.Triggers.Add(triggerID, CacheMisses, 1)
 }
 
 // TriggerEntry returns the tracked entry for a trigger ID.

@@ -4,18 +4,15 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"triggerman/internal/phasecounter"
 )
 
 func TestSketchExactWhenUnderCapacity(t *testing.T) {
-	s := NewSketch(1024, 0)
+	s := NewSketch(1024)
 	for key := uint64(1); key <= 100; key++ {
 		for i := uint64(0); i < key; i++ {
-			s.Add(key, phasecounter.NoSlot, Matches, 1)
+			s.Add(key, Matches, 1)
 		}
 	}
 	if ev := s.Evictions(); ev != 0 {
@@ -51,7 +48,7 @@ func TestSketchHeavyHittersSurviveNoise(t *testing.T) {
 	// keys must all be tracked and rank in the top 10: the space-saving
 	// guarantee is that any key with true count above the minimum weight
 	// stays resident.
-	s := NewSketch(256, 0)
+	s := NewSketch(256)
 	rng := rand.New(rand.NewSource(42))
 	heavy := map[uint64]int64{}
 	for i := 0; i < 10; i++ {
@@ -69,7 +66,7 @@ func TestSketchHeavyHittersSurviveNoise(t *testing.T) {
 	}
 	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
 	for _, u := range stream {
-		s.Add(u.key, phasecounter.NoSlot, Probes, 1)
+		s.Add(u.key, Probes, 1)
 	}
 	top := s.TopK(Probes, 10)
 	if len(top) != 10 {
@@ -101,8 +98,8 @@ func TestSketchHeavyHittersSurviveNoise(t *testing.T) {
 }
 
 func TestSketchZeroKeyIgnored(t *testing.T) {
-	s := NewSketch(8, 0)
-	s.Add(0, phasecounter.NoSlot, Probes, 1)
+	s := NewSketch(8)
+	s.Add(0, Probes, 1)
 	if s.Len() != 0 {
 		t.Fatal("zero key must not be tracked")
 	}
@@ -112,7 +109,7 @@ func TestSketchZeroKeyIgnored(t *testing.T) {
 }
 
 func TestSketchConcurrentAdds(t *testing.T) {
-	s := NewSketch(64, 0)
+	s := NewSketch(64)
 	const goroutines = 8
 	const perG = 10_000
 	var wg sync.WaitGroup
@@ -122,7 +119,7 @@ func TestSketchConcurrentAdds(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perG; i++ {
-				s.Add(uint64(1+rng.Intn(32)), phasecounter.NoSlot, Matches, 1)
+				s.Add(uint64(1+rng.Intn(32)), Matches, 1)
 			}
 		}(int64(g))
 	}
@@ -140,8 +137,8 @@ func TestSketchConcurrentAdds(t *testing.T) {
 
 func TestProfilerNilSafe(t *testing.T) {
 	var p *Profiler
-	p.MatchProbe(1, phasecounter.NoSlot)
-	p.MatchHit(1, phasecounter.NoSlot)
+	p.MatchProbe(1)
+	p.MatchHit(1)
 	p.ObserveAction(1, time.Millisecond)
 	p.ActionFailure(1)
 	p.ActionRetries(1, 3)
@@ -153,9 +150,9 @@ func TestProfilerNilSafe(t *testing.T) {
 }
 
 func TestProfilerAttribution(t *testing.T) {
-	p := New(0, 0)
-	p.MatchProbe(7, phasecounter.NoSlot) // failed rest test: probe only
-	p.MatchHit(7, phasecounter.NoSlot)   // full match: probe + match in one charge
+	p := New(0)
+	p.MatchProbe(7) // failed rest test: probe only
+	p.MatchHit(7)   // full match: probe + match in one charge
 	p.ObserveAction(7, 1500*time.Nanosecond)
 	p.ActionRetries(7, 3)
 	p.ActionRetries(7, 1) // no retries -> no charge
@@ -185,11 +182,11 @@ func TestProfilerAttribution(t *testing.T) {
 }
 
 func TestSketchAdd2(t *testing.T) {
-	s := NewSketch(64, 0)
+	s := NewSketch(64)
 	// Fresh admission through the Add2 path.
-	s.Add2(9, phasecounter.NoSlot, Probes, 1, Matches, 1)
+	s.Add2(9, Probes, 1, Matches, 1)
 	// Hot-path update of an existing cell.
-	s.Add2(9, phasecounter.NoSlot, Probes, 1, Matches, 1)
+	s.Add2(9, Probes, 1, Matches, 1)
 	e, ok := s.Get(9)
 	if !ok {
 		t.Fatal("key 9 not tracked")
@@ -207,11 +204,11 @@ func TestSketchAdd2Replacement(t *testing.T) {
 	// Force bucket overflow so an Add2 admission must replace: the
 	// newcomer inherits the victim's weight as Err and both metric
 	// deltas land on the fresh cell.
-	s := NewSketch(ways, 0) // single bucket
+	s := NewSketch(ways) // single bucket
 	for key := uint64(1); key <= ways; key++ {
-		s.Add(key, phasecounter.NoSlot, Probes, 1)
+		s.Add(key, Probes, 1)
 	}
-	s.Add2(100, phasecounter.NoSlot, Probes, 3, Matches, 2)
+	s.Add2(100, Probes, 3, Matches, 2)
 	e, ok := s.Get(100)
 	if !ok {
 		t.Fatal("replacement key not tracked")
@@ -227,50 +224,37 @@ func TestSketchAdd2Replacement(t *testing.T) {
 	}
 }
 
-// TestSlicedSketchExactUnderReconcile: on a sliced sketch, per-key
-// totals must equal the single-threaded reference while a reconciler
-// folds epochs (and promotes the top-ranked keys) concurrently with
-// slot-stamped updates from every driver. Run under -race.
+// TestSlicedSketchExactUnderReconcile: per-key totals must equal the
+// single-threaded reference when every driver updates the same keys
+// at once — one viral key through both entry points, the rest through
+// Add. Run under -race.
 func TestSlicedSketchExactUnderReconcile(t *testing.T) {
 	const (
 		writers = 8
 		rounds  = 3000
 		keys    = 12
 	)
-	s := NewSketch(256, writers) // under capacity: no evictions
-	var stop atomic.Bool
-	var recons sync.WaitGroup
-	recons.Add(1)
-	go func() {
-		defer recons.Done()
-		for !stop.Load() {
-			s.Reconcile()
-			runtime.Gosched()
-		}
-	}()
+	s := NewSketch(256) // under capacity: no evictions
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(slot int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				for k := uint64(1); k <= keys; k++ {
 					// Key 1 is viral: double traffic, via both entry points.
 					if k == 1 {
-						s.Add2(k, slot, Probes, 1, Matches, 1)
+						s.Add2(k, Probes, 1, Matches, 1)
 					}
-					s.Add(k, slot, Probes, 1)
+					s.Add(k, Probes, 1)
 				}
 				if i%16 == 0 {
 					runtime.Gosched() // interleave on single-P schedulers too
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	stop.Store(true)
-	recons.Wait()
-	s.Reconcile() // final fold at quiescence
 
 	if ev := s.Evictions(); ev != 0 {
 		t.Fatalf("evictions = %d, want 0 (under capacity)", ev)
@@ -295,27 +279,5 @@ func TestSlicedSketchExactUnderReconcile(t *testing.T) {
 		if e.Weight != wantWeight || e.Err != 0 {
 			t.Fatalf("key %d: weight/err = %d/%d, want %d/0", k, e.Weight, e.Err, wantWeight)
 		}
-	}
-	// The viral key must have been routed through sliced cells — either
-	// by rank pre-split or by the writer-switch probe.
-	st := s.Contention()
-	if st.Slots != writers || st.Sliced == 0 || st.Reconciles == 0 {
-		t.Fatalf("contention stats = %+v, want sliced counters under %d slots", st, writers)
-	}
-}
-
-// TestPlainSketchUnchanged: a sketch built without slots never slices
-// and keeps zero-cost domain stats, whatever the traffic.
-func TestPlainSketchUnchanged(t *testing.T) {
-	s := NewSketch(64, 0)
-	for i := 0; i < 1000; i++ {
-		s.Add(7, i%8, Probes, 1)
-	}
-	s.Reconcile() // no-op
-	if st := s.Contention(); st != (phasecounter.DomainStats{}) {
-		t.Fatalf("plain sketch domain stats = %+v, want zero", st)
-	}
-	if e, _ := s.Get(7); e.Counts[Probes] != 1000 {
-		t.Fatalf("probes = %d, want 1000", e.Counts[Probes])
 	}
 }

@@ -112,8 +112,8 @@ type Task struct {
 	// RunSlot, when set, is invoked instead of Run and receives the
 	// executing driver's stable slot index in [0, Drivers): the identity
 	// of the worker, not the goroutine, so a stolen task reports the
-	// stealing driver's slot. Phase-reconciled counters key their
-	// per-worker slices on it (see internal/phasecounter). A task run
+	// stealing driver's slot. The predicate index's tallies keep one
+	// line per slot and count a probe on its driver's line. A task run
 	// outside any driver (synchronous embedders) would see NoSlot.
 	RunSlot func(slot int) error
 	// Key, when non-zero, routes the task to a fixed shard so tasks

@@ -209,11 +209,10 @@ func TestOpsContract(t *testing.T) {
 		var raw json.RawMessage
 		getJSON(t, base+"/indexz", &raw)
 		wantFields(t, "/indexz", raw, []string{
-			"signatures", "hot_signatures", "contention",
+			"signatures", "hot_signatures",
 		})
 		var p struct {
 			Signatures []json.RawMessage `json:"signatures"`
-			Contention json.RawMessage   `json:"contention"`
 		}
 		if err := json.Unmarshal(raw, &p); err != nil {
 			t.Fatal(err)
@@ -221,24 +220,9 @@ func TestOpsContract(t *testing.T) {
 		if len(p.Signatures) == 0 {
 			t.Fatal("/indexz lists no signatures with a trigger registered")
 		}
-		// hot_constants is omitempty: nothing is contended in a
-		// synchronous single-slot run, so the row carries the base set.
 		wantFields(t, "/indexz signature row", p.Signatures[0], []string{
 			"sig_id", "source_id", "mask", "expr", "organization", "structure",
 			"size", "partitions", "probes", "matches", "est_probe_cost_ns",
-			"phase", "slices", "reconciles", "last_reconcile_age_ns",
-			"reconciled_probes",
-		})
-		wantFields(t, "/indexz contention", p.Contention, []string{"index", "profile"})
-		var c struct {
-			Index json.RawMessage `json:"index"`
-		}
-		if err := json.Unmarshal(p.Contention, &c); err != nil {
-			t.Fatal(err)
-		}
-		wantFields(t, "/indexz contention domain", c.Index, []string{
-			"slots", "sliced", "promotions", "demotions",
-			"reconciles", "last_reconcile_age_ns",
 		})
 	})
 

@@ -331,8 +331,6 @@ type System struct {
 	elog          *eventlog.Log
 	sloEng        *slo.Engine
 	rts           *slo.RuntimeSampler
-	reconStop     chan struct{}
-	reconDone     chan struct{}
 	cTokensIn     *metrics.Counter
 	cTokensMatch  *metrics.Counter
 	cActionsRun   *metrics.Counter
@@ -454,17 +452,16 @@ func Open(opts Options) (*System, error) {
 	}
 
 	reg := datasource.NewRegistry()
-	// The driver count is resolved before the index and profiler exist:
-	// both size their phase-reconciled counters' slice geometry to one
-	// slice per driver slot. Synchronous systems have no drivers — every
-	// update carries NoSlot and stays on the plain path.
+	// The driver count is resolved before the index exists: its tallies
+	// keep one line per driver slot. Synchronous systems have no drivers —
+	// every probe carries NoSlot and counts on the shared line.
 	slots := 1
 	if !opts.Synchronous {
 		slots = taskq.ResolveDrivers(opts.Drivers, opts.ConcurrencyLevel)
 	}
 	var prof *profile.Profiler
 	if !opts.DisableProfiling {
-		prof = profile.New(profile.DefaultCapacity, slots)
+		prof = profile.New(profile.DefaultCapacity)
 	}
 	elog := eventlog.New(eventlog.Config{Out: opts.EventLogOut})
 	pidxOpts := []predindex.Option{predindex.WithDB(db), predindex.WithMetrics(met), predindex.WithSlots(slots)}
@@ -581,21 +578,6 @@ func Open(opts Options) (*System, error) {
 		})
 	}
 	cat.Cache().SetObserver(cacheObserver{prof: prof, elog: elog})
-	sys.reconStop = make(chan struct{})
-	sys.reconDone = make(chan struct{})
-	go func() {
-		defer close(sys.reconDone)
-		t := time.NewTicker(reconcileEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				sys.Reconcile()
-			case <-sys.reconStop:
-				return
-			}
-		}
-	}()
 	sys.registerViews()
 	// Rebuild the multi-var bookkeeping for recovered triggers.
 	sys.rebuildMultiVar()
@@ -1048,24 +1030,6 @@ func (s *System) Drain() {
 	}
 }
 
-// reconcileEvery is the phase-reconciliation epoch: how often hot
-// counters' per-driver slices (predicate-index probe/match tallies,
-// profiler sketch cells) fold into their base cells and refresh the
-// reconciled readings that reorganization decisions and snapshots
-// consume — the staleness bound the cost model sees.
-const reconcileEvery = 100 * time.Millisecond
-
-// Reconcile runs one phase-reconciliation epoch across every sliced
-// counter domain: the predicate index's probe/match tallies and the
-// profiler sketch fold their per-driver slices and refresh the
-// reconciled readings. A ticker started by Open calls this every
-// reconcileEvery; tests call it themselves between deterministic
-// phases.
-func (s *System) Reconcile() {
-	s.pidx.Reconcile()
-	s.prof.Reconcile()
-}
-
 // Flush persists dirty pages to the disk manager.
 func (s *System) Flush() error { return s.bp.FlushAll() }
 
@@ -1087,8 +1051,6 @@ func (s *System) Close() error {
 	}
 	s.sloEng.Stop()
 	s.rts.Stop()
-	close(s.reconStop)
-	<-s.reconDone
 	if s.pool != nil {
 		s.pool.Close()
 	}
