@@ -25,28 +25,26 @@ func (s *System) DeadLetterCount() int { return s.cat.DeadLetterCount() }
 // Requeueing a DeadAction entry replays the whole token, so every
 // matching trigger fires again — delivery is at-least-once. If
 // re-injection fails the entry is restored, so the work is never lost
-// in between.
+// in between. The kind is a free label, so an entry of a kind nothing
+// writes any more (such as "shed") still requeues.
 func (s *System) RequeueDeadLetter(id uint64) error {
-	if s.isClosed() {
-		return errClosed
-	}
-	d, err := s.cat.TakeDeadLetter(id)
-	if err != nil {
-		return err
-	}
-	tok := d.Token
-	tok.Seq = 0 // the queue assigns a fresh sequence number
-	// Requeue runs through admission (not raw apply): re-injecting into
-	// a source that is still shedding would just deepen the overload, so
-	// a shed verdict re-quarantines the token as a fresh DeadShed entry
-	// and a reject restores this one below.
-	if err := s.admit(tok); err != nil {
-		if _, aerr := s.cat.AddDeadLetter(d.Kind, d.TriggerID, d.Token, d.Error, d.Attempts); aerr != nil {
-			return fmt.Errorf("triggerman: requeue %d failed (%v) and restore failed: %w", id, err, aerr)
+	return s.gated(func() error {
+		d, err := s.cat.TakeDeadLetter(id)
+		if err != nil {
+			return err
 		}
-		return err
-	}
-	return nil
+		tok := d.Token
+		tok.Seq = 0 // the queue assigns a fresh sequence number
+		// Requeue goes through admit (not raw apply), so a clustered
+		// deployment ships the token to its owner.
+		if err := s.admit(tok); err != nil {
+			if _, aerr := s.cat.AddDeadLetter(d.Kind, d.TriggerID, d.Token, d.Error, d.Attempts); aerr != nil {
+				return fmt.Errorf("triggerman: requeue %d failed (%v) and restore failed: %w", id, err, aerr)
+			}
+			return err
+		}
+		return nil
+	})
 }
 
 // PurgeDeadLetters drops every quarantined entry and reports how many.
@@ -68,25 +66,6 @@ func (s *System) quarantine(kind string, triggerID uint64, tok datasource.Token,
 	})
 	if err != nil {
 		s.ring.add("deadletter", triggerID, fmt.Errorf("quarantine of %s failed, work lost: %w", tok, err))
-		return
-	}
-	s.cDeadLettered.Inc()
-}
-
-// shedToken parks a token shed by admission control in the dead-letter
-// table. Unlike quarantine it is not a failure record — the token never
-// ran — so it skips the error ring and profiler; the dead-letter write
-// is the accounting that keeps "shed" distinct from "lost". If even the
-// retried write fails, the loss lands in the error ring like any other
-// quarantine failure.
-func (s *System) shedToken(tok datasource.Token) {
-	s.elog.Emit("admission.shed", "source_id", tok.SourceID, "op", tok.Op.String())
-	_, err := s.dlRetry.Do(func() error {
-		_, e := s.cat.AddDeadLetter(catalog.DeadShed, 0, tok, "shed by admission control", 0)
-		return e
-	})
-	if err != nil {
-		s.ring.add("admission", 0, fmt.Errorf("shed token lost: %w", err))
 		return
 	}
 	s.cDeadLettered.Inc()

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"triggerman/internal/admission"
 	"triggerman/internal/agg"
 	"triggerman/internal/cache"
 	"triggerman/internal/datasource"
@@ -56,7 +55,7 @@ type TriggerInfo struct {
 	// create-trigger statement ("create trigger t batch from ...").
 	// Interactive is the default. It survives restart because recovery
 	// re-parses the trigger text through primeTrigger.
-	Class admission.Class
+	Class Class
 
 	rid  storage.RID
 	regs []predReg
@@ -66,6 +65,41 @@ type TriggerInfo struct {
 	network *discrim.Network
 	gator   *discrim.GatorNetwork
 	agg     *AggTrigger
+}
+
+// Class is a trigger's scheduling priority class, declared in the
+// create-trigger statement and carried onto every task the trigger's
+// tokens and actions spawn.
+type Class uint8
+
+const (
+	// Interactive is the default class: latency-sensitive work that
+	// runs from the high-priority queues.
+	Interactive Class = iota
+	// Batch marks throughput work that runs from the low-priority
+	// queues, aged so that it cannot starve.
+	Batch
+)
+
+// String names the class.
+func (c Class) String() string {
+	if c == Batch {
+		return "batch"
+	}
+	return "interactive"
+}
+
+// ParseClass recognizes a class keyword from a create-trigger flag
+// list. The second result reports whether s named a class at all.
+func ParseClass(s string) (Class, bool) {
+	switch s {
+	case "interactive":
+		return Interactive, true
+	case "batch":
+		return Batch, true
+	default:
+		return Interactive, false
+	}
 }
 
 type predReg struct {
@@ -462,13 +496,13 @@ func (c *Catalog) TriggerIsAggregate(id uint64) bool {
 
 // TriggerClass reports the trigger's scheduling priority class.
 // Unknown triggers are interactive (the safe default for routing).
-func (c *Catalog) TriggerClass(id uint64) admission.Class {
+func (c *Catalog) TriggerClass(id uint64) Class {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if t, ok := c.triggers[id]; ok {
 		return t.Class
 	}
-	return admission.Interactive
+	return Interactive
 }
 
 // TriggerSources returns the data sources of a trigger's tuple

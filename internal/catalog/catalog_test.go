@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"triggerman/internal/admission"
 	"triggerman/internal/datasource"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
@@ -445,13 +444,13 @@ func TestTriggerClassFromFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TriggerClass(inter.ID); got != admission.Interactive {
+	if got := c.TriggerClass(inter.ID); got != Interactive {
 		t.Fatalf("default class = %v", got)
 	}
-	if got := c.TriggerClass(bat.ID); got != admission.Batch {
+	if got := c.TriggerClass(bat.ID); got != Batch {
 		t.Fatalf("batch flag class = %v", got)
 	}
-	if got := c.TriggerClass(99999); got != admission.Interactive {
+	if got := c.TriggerClass(99999); got != Interactive {
 		t.Fatalf("unknown trigger class = %v", got)
 	}
 	flush()
@@ -462,7 +461,29 @@ func TestTriggerClassFromFlags(t *testing.T) {
 	if !ok {
 		t.Fatal("t_bat lost in recovery")
 	}
-	if got := c2.TriggerClass(id); got != admission.Batch {
+	if got := c2.TriggerClass(id); got != Batch {
 		t.Fatalf("recovered class = %v", got)
+	}
+}
+
+func TestParseClass(t *testing.T) {
+	cases := []struct {
+		in string
+		cl Class
+		ok bool
+	}{
+		{"interactive", Interactive, true},
+		{"batch", Batch, true},
+		{"urgent", Interactive, false},
+		{"", Interactive, false},
+	}
+	for _, tc := range cases {
+		cl, ok := ParseClass(tc.in)
+		if cl != tc.cl || ok != tc.ok {
+			t.Fatalf("ParseClass(%q) = %v,%v want %v,%v", tc.in, cl, ok, tc.cl, tc.ok)
+		}
+	}
+	if Interactive.String() != "interactive" || Batch.String() != "batch" {
+		t.Fatal("Class.String")
 	}
 }

@@ -22,15 +22,10 @@ const (
 	DeadToken = "token"
 	// DeadAction is one trigger firing whose action failed.
 	DeadAction = "action"
-	// DeadShed is a token diverted by admission control before it
-	// reached the queue: batch-class work shed past the soft watermark.
-	// Shed entries carry no failure, only deferral — requeue them once
-	// the source recovers.
-	DeadShed = "shed"
 	// DeadForward is a token that belonged on another cluster node but
-	// could not be forwarded there within the retry budget. Like shed
-	// entries it carries deferral, not failure: requeue it once the
-	// owner node returns and it ships again.
+	// could not be forwarded there within the retry budget. It carries
+	// deferral, not failure: requeue it once the owner node returns and
+	// it ships again.
 	DeadForward = "forward"
 )
 

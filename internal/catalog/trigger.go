@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"triggerman/internal/admission"
 	"triggerman/internal/agg"
 	"triggerman/internal/datasource"
 	"triggerman/internal/discrim"
@@ -108,9 +107,9 @@ func (c *Catalog) primeTrigger(info *TriggerInfo, ct *parser.CreateTrigger) erro
 	}
 	// The priority class rides in the flag list between the trigger name
 	// and the from clause; other flags stay reserved for future options.
-	info.Class = admission.Interactive
+	info.Class = Interactive
 	for _, f := range ct.Flags {
-		if cl, ok := admission.ParseClass(f); ok {
+		if cl, ok := ParseClass(f); ok {
 			info.Class = cl
 		}
 	}

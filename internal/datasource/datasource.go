@@ -276,34 +276,17 @@ type Queue interface {
 	DequeueBatch(max int) ([]Token, error)
 	// Len reports the number of queued tokens.
 	Len() int
-	// SourceDepth reports the number of queued tokens from one source —
-	// the admission controller's watermark signal. Both implementations
-	// answer from a counter map, not a scan, so the capture path can
-	// afford a reading per token.
-	SourceDepth(src int32) int
-}
-
-// depthAdd adjusts a per-source depth counter, dropping zero entries so
-// the map does not accumulate every source ever seen.
-func depthAdd(m map[int32]int, src int32, d int) {
-	n := m[src] + d
-	if n <= 0 {
-		delete(m, src)
-		return
-	}
-	m[src] = n
 }
 
 // MemQueue is the main-memory queue (fast, not crash-safe).
 type MemQueue struct {
-	mu     sync.Mutex
-	q      fifo.Queue[Token]
-	seq    uint64
-	depths map[int32]int
+	mu  sync.Mutex
+	q   fifo.Queue[Token]
+	seq uint64
 }
 
 // NewMemQueue returns an empty in-memory queue.
-func NewMemQueue() *MemQueue { return &MemQueue{depths: make(map[int32]int)} }
+func NewMemQueue() *MemQueue { return &MemQueue{} }
 
 // Enqueue implements Queue.
 func (q *MemQueue) Enqueue(t Token) (Token, error) {
@@ -312,7 +295,6 @@ func (q *MemQueue) Enqueue(t Token) (Token, error) {
 	q.seq++
 	t.Seq = q.seq
 	q.q.Push(t)
-	depthAdd(q.depths, t.SourceID, 1)
 	return t, nil
 }
 
@@ -333,7 +315,6 @@ func (q *MemQueue) DequeueBatch(max int) ([]Token, error) {
 		if !ok {
 			break
 		}
-		depthAdd(q.depths, t.SourceID, -1)
 		out = append(out, t)
 	}
 	return out, nil
@@ -344,13 +325,6 @@ func (q *MemQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.q.Len()
-}
-
-// SourceDepth implements Queue.
-func (q *MemQueue) SourceDepth(src int32) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.depths[src]
 }
 
 // TableQueue is the persistent queue table of Figure 1: tokens are
@@ -377,9 +351,6 @@ type TableQueue struct {
 	// dequeues do not rescan drained pages.
 	cursor storage.RID
 	hasCur bool
-	// depths counts queued tokens per source (admission's watermark
-	// signal); rebuilt from the recovery scan on reopen.
-	depths map[int32]int
 
 	commit commitGroup
 }
@@ -483,7 +454,7 @@ func NewTableQueue(bp *storage.BufferPool) (*TableQueue, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TableQueue{heap: h, bp: bp, tail: h.LastPage(), depths: make(map[int32]int)}, nil
+	return &TableQueue{heap: h, bp: bp, tail: h.LastPage()}, nil
 }
 
 // OpenTableQueue reopens a persistent queue by its first page.
@@ -492,15 +463,13 @@ func OpenTableQueue(bp *storage.BufferPool, first storage.PageID) (*TableQueue, 
 	if err != nil {
 		return nil, err
 	}
-	q := &TableQueue{heap: h, bp: bp, tail: h.LastPage(), depths: make(map[int32]int)}
-	// Restore the sequence counter and per-source depths from the
-	// surviving tokens.
+	q := &TableQueue{heap: h, bp: bp, tail: h.LastPage()}
+	// Restore the sequence counter from the surviving tokens.
 	err = h.Scan(func(_ storage.RID, rec []byte) bool {
 		if t, derr := DecodeToken(rec); derr == nil {
 			if t.Seq > q.seq {
 				q.seq = t.Seq
 			}
-			depthAdd(q.depths, t.SourceID, 1)
 		}
 		return true
 	})
@@ -524,7 +493,6 @@ func (q *TableQueue) Enqueue(t Token) (Token, error) {
 	link := q.tail
 	if err == nil {
 		q.tail = rid.Page
-		depthAdd(q.depths, t.SourceID, 1)
 	}
 	durable := q.durable
 	q.mu.Unlock()
@@ -620,7 +588,6 @@ func (q *TableQueue) DequeueBatch(max int) ([]Token, error) {
 			// Tokens already taken must still reach the caller.
 			return out, err
 		}
-		depthAdd(q.depths, tok.SourceID, -1)
 		out = append(out, tok)
 		q.cursor, q.hasCur = r.rid, true
 	}
@@ -629,10 +596,3 @@ func (q *TableQueue) DequeueBatch(max int) ([]Token, error) {
 
 // Len implements Queue.
 func (q *TableQueue) Len() int { return q.heap.Count() }
-
-// SourceDepth implements Queue.
-func (q *TableQueue) SourceDepth(src int32) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.depths[src]
-}

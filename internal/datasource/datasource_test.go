@@ -561,8 +561,9 @@ func TestTableQueueBatchThenSingleDequeueAgree(t *testing.T) {
 // TestGroupCommitWriteBackUnderConcurrentDequeues maximizes overlap
 // between the group-commit leader's WriteBack loop and concurrent
 // inserts/dequeues (folded from the PR-5 scratch race test, shortened).
-// Besides being a race-detector target, it checks that the per-source
-// depth counters balance exactly against what went in and came out.
+// Besides being a race-detector target, it checks conservation: what
+// went in minus what came out is exactly what Len still reports, and a
+// drain to empty yields exactly that many tokens.
 func TestGroupCommitWriteBackUnderConcurrentDequeues(t *testing.T) {
 	disk := &slowSyncDisk{DiskManager: storage.NewMem(), delay: 0}
 	bp := storage.NewBufferPool(disk, 64)
@@ -572,7 +573,7 @@ func TestGroupCommitWriteBackUnderConcurrentDequeues(t *testing.T) {
 	}
 	q.SetDurable(true)
 	stop := time.Now().Add(300 * time.Millisecond)
-	var enq, deq [8]int64
+	var enq, deq atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -584,72 +585,43 @@ func TestGroupCommitWriteBackUnderConcurrentDequeues(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				atomic.AddInt64(&enq[g], 1)
+				enq.Add(1)
 				if i%64 == 0 {
 					batch, err := q.DequeueBatch(32)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					for _, tk := range batch {
-						atomic.AddInt64(&deq[tk.SourceID-1], 1)
-					}
+					deq.Add(int64(len(batch)))
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for g := 0; g < 8; g++ {
-		want := int(enq[g] - deq[g])
-		if got := q.SourceDepth(int32(g + 1)); got != want {
-			t.Errorf("source %d depth = %d, want %d (enq %d, deq %d)",
-				g+1, got, want, enq[g], deq[g])
+	want := int(enq.Load() - deq.Load())
+	if got := q.Len(); got != want {
+		t.Errorf("Len = %d, want %d (enq %d, deq %d)", got, want, enq.Load(), deq.Load())
+	}
+	drained := 0
+	for {
+		batch, err := q.DequeueBatch(0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(batch) == 0 {
+			break
+		}
+		drained += len(batch)
+	}
+	if drained != want {
+		t.Errorf("final drain = %d tokens, want %d", drained, want)
 	}
 }
 
-// TestSourceDepthTracksPerSource exercises the depth counters on both
-// queue implementations through every dequeue path.
-func TestSourceDepthTracksPerSource(t *testing.T) {
-	queues := map[string]Queue{
-		"mem": NewMemQueue(),
-	}
-	tq, err := NewTableQueue(storage.NewBufferPool(storage.NewMem(), 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queues["table"] = tq
-	for name, q := range queues {
-		for i := int64(0); i < 6; i++ {
-			q.Enqueue(tok(1, OpInsert, i))
-		}
-		for i := int64(0); i < 3; i++ {
-			q.Enqueue(tok(2, OpInsert, i))
-		}
-		if d1, d2 := q.SourceDepth(1), q.SourceDepth(2); d1 != 6 || d2 != 3 {
-			t.Fatalf("%s: depths = %d,%d want 6,3", name, d1, d2)
-		}
-		if d := q.SourceDepth(99); d != 0 {
-			t.Fatalf("%s: unknown source depth = %d", name, d)
-		}
-		if batch, _ := q.DequeueBatch(1); len(batch) != 1 {
-			t.Fatalf("%s: dequeue failed", name)
-		}
-		if d := q.SourceDepth(1); d != 5 {
-			t.Fatalf("%s: depth after single dequeue = %d, want 5", name, d)
-		}
-		if batch, err := q.DequeueBatch(0); err != nil || len(batch) != 8 {
-			t.Fatalf("%s: drain = %d tokens, err %v", name, len(batch), err)
-		}
-		if d1, d2 := q.SourceDepth(1), q.SourceDepth(2); d1 != 0 || d2 != 0 {
-			t.Fatalf("%s: depths after drain = %d,%d", name, d1, d2)
-		}
-	}
-}
-
-// TestSourceDepthSurvivesReopen checks the recovery scan rebuilds the
-// per-source counters a restarted system's admission control needs.
-func TestSourceDepthSurvivesReopen(t *testing.T) {
+// TestTableQueueReopenYieldsSurvivors checks that a reopened queue holds
+// exactly the tokens not yet dequeued, in their order, and continues
+// the sequence counter past them.
+func TestTableQueueReopenYieldsSurvivors(t *testing.T) {
 	disk := storage.NewMem()
 	bp := storage.NewBufferPool(disk, 32)
 	q, err := NewTableQueue(bp)
@@ -668,7 +640,28 @@ func TestSourceDepthSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d3, d4 := q2.SourceDepth(3), q2.SourceDepth(4); d3 != 5 || d4 != 1 {
-		t.Fatalf("reopened depths = %d,%d want 5,1", d3, d4)
+	if n := q2.Len(); n != 6 {
+		t.Fatalf("reopened Len = %d, want 6", n)
+	}
+	next, err := q2.Enqueue(tok(4, OpInsert, 1))
+	if err != nil || next.Seq != 9 {
+		t.Fatalf("enqueue after reopen: seq %d, err %v; want seq 9", next.Seq, err)
+	}
+	got, err := q2.DequeueBatch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		src int32
+		v   int64
+	}{{3, 2}, {3, 3}, {3, 4}, {3, 5}, {3, 6}, {4, 0}, {4, 1}}
+	if len(got) != len(want) {
+		t.Fatalf("reopened queue yielded %d tokens, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i].SourceID != w.src || got[i].New.Get(0).Int() != w.v || got[i].Seq != uint64(i+3) {
+			t.Errorf("token %d = src %d v %d seq %d, want src %d v %d seq %d",
+				i, got[i].SourceID, got[i].New.Get(0).Int(), got[i].Seq, w.src, w.v, i+3)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package slo evaluates declarative latency objectives against the
-// metrics registry with multi-window burn-rate alerting, the
-// measurement half of ROADMAP item 5's "make p99 a contract" (the
-// enforcement half is internal/admission).
+// metrics registry with multi-window burn-rate alerting: it measures
+// whether a latency contract holds and enforces nothing.
 //
 // An Objective names a latency contract — "interactive capture→deliver
 // under 25ms for 99% of tokens" — backed by a cumulative histogram.

@@ -53,7 +53,6 @@ func (s *System) ListenOps(addr string) (string, error) {
 	mux.HandleFunc("/indexz", s.handleIndexz)
 	mux.HandleFunc("/triggerz", s.handleTriggerz)
 	mux.HandleFunc("/eventz", s.handleEventz)
-	mux.HandleFunc("/loadz", s.handleLoadz)
 	mux.HandleFunc("/sloz", s.handleSloz)
 	for pattern, h := range s.extraOps {
 		mux.HandleFunc(pattern, h)
@@ -335,79 +334,6 @@ func (s *System) handleTriggerz(w http.ResponseWriter, r *http.Request) {
 	}
 	k := queryBound(r, "k", 10)
 	writeJSON(w, s.triggerzPayload(k))
-}
-
-// loadzPayload is the /loadz JSON shape: the admission controller's
-// configuration, global verdict totals, and one row per data source
-// that has seen traffic.
-type loadzPayload struct {
-	// Node identifies the answering instance (see statuszPayload.Node).
-	Node      string        `json:"node"`
-	Enabled   bool          `json:"enabled"`
-	SoftDepth int           `json:"soft_depth"`
-	HardDepth int           `json:"hard_depth"`
-	Rate      float64       `json:"rate"`
-	Burst     int           `json:"burst"`
-	Admitted  int64         `json:"admitted"`
-	Shed      int64         `json:"shed"`
-	Rejected  int64         `json:"rejected"`
-	Sources   []loadzSource `json:"sources"`
-}
-
-// loadzSource is one data source's load row.
-type loadzSource struct {
-	SourceID    int32  `json:"source_id"`
-	Name        string `json:"name,omitempty"`
-	Class       string `json:"class"`
-	State       string `json:"state"`
-	Depth       int    `json:"depth"`
-	Admitted    int64  `json:"admitted"`
-	Shed        int64  `json:"shed"`
-	Rejected    int64  `json:"rejected"`
-	RateLimited int64  `json:"rate_limited"`
-}
-
-// handleLoadz reports graceful-degradation state per data source:
-// admitting, shedding, or rejecting, with watermark configuration and
-// shed/reject accounting. With admission disabled it returns
-// {"enabled": false} so dashboards can probe unconditionally.
-func (s *System) handleLoadz(w http.ResponseWriter, r *http.Request) {
-	if s.isClosed() {
-		http.Error(w, errClosed.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if s.adm == nil {
-		writeJSON(w, loadzPayload{Node: s.NodeID(), Sources: []loadzSource{}})
-		return
-	}
-	cfg := s.adm.Config()
-	p := loadzPayload{
-		Node:      s.NodeID(),
-		Enabled:   true,
-		SoftDepth: cfg.SoftDepth,
-		HardDepth: cfg.HardDepth,
-		Rate:      cfg.Rate,
-		Burst:     cfg.Burst,
-		Sources:   []loadzSource{},
-	}
-	p.Admitted, p.Shed, p.Rejected = s.adm.Totals()
-	for _, row := range s.adm.Snapshot(s.sourceClass) {
-		ls := loadzSource{
-			SourceID:    row.SourceID,
-			Class:       row.Class.String(),
-			State:       row.State.String(),
-			Depth:       row.Depth,
-			Admitted:    row.Admitted,
-			Shed:        row.Shed,
-			Rejected:    row.Rejected,
-			RateLimited: row.RateLimited,
-		}
-		if src, ok := s.reg.ByID(row.SourceID); ok {
-			ls.Name = src.Name
-		}
-		p.Sources = append(p.Sources, ls)
-	}
-	writeJSON(w, p)
 }
 
 // eventzPayload is the /eventz JSON shape.

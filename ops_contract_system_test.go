@@ -1,7 +1,7 @@
 package triggerman
 
-// Ops-contract tests: the JSON shapes of /loadz, /sloz, and
-// /statusz?traces= are dashboards' wire format, so their field sets
+// Ops-contract tests: the JSON shapes of /sloz, /statusz?traces= and
+// /indexz are dashboards' wire format, so their field sets
 // are pinned here as golden lists. Renaming or dropping a field fails
 // these tests before it silently breaks a Grafana panel; adding one
 // fails them too, on purpose — new fields are cheap to add to the
@@ -13,7 +13,6 @@ import (
 	"sort"
 	"testing"
 
-	"triggerman/internal/admission"
 	"triggerman/internal/datasource"
 	"triggerman/internal/types"
 )
@@ -42,18 +41,14 @@ func wantFields(t *testing.T, what string, raw json.RawMessage, want []string) {
 	}
 }
 
-// TestOpsContract drives traffic through a system with admission,
-// tracing, and the SLO engine all enabled, then pins the top-level and
+// TestOpsContract drives traffic through a system with tracing and
+// the SLO engine enabled, then pins the top-level and
 // nested field sets of the three diagnosis endpoints.
 func TestOpsContract(t *testing.T) {
 	sys, err := Open(Options{
 		Synchronous:      true,
 		Queue:            MemoryQueue,
 		TraceSampleEvery: 1,
-		AdmissionConfig: &admission.Config{
-			SoftDepth: 1024,
-			HardDepth: 4096,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,32 +74,6 @@ func TestOpsContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := "http://" + addr
-
-	t.Run("loadz", func(t *testing.T) {
-		var raw json.RawMessage
-		getJSON(t, base+"/loadz", &raw)
-		wantFields(t, "/loadz", raw, []string{
-			"node", "enabled", "soft_depth", "hard_depth", "rate", "burst",
-			"admitted", "shed", "rejected", "sources",
-		})
-		var p struct {
-			Enabled bool              `json:"enabled"`
-			Sources []json.RawMessage `json:"sources"`
-		}
-		if err := json.Unmarshal(raw, &p); err != nil {
-			t.Fatal(err)
-		}
-		if !p.Enabled {
-			t.Fatal("/loadz reports enabled=false with admission configured")
-		}
-		if len(p.Sources) == 0 {
-			t.Fatal("/loadz lists no sources after traffic")
-		}
-		wantFields(t, "/loadz source row", p.Sources[0], []string{
-			"source_id", "name", "class", "state", "depth",
-			"admitted", "shed", "rejected", "rate_limited",
-		})
-	})
 
 	t.Run("sloz", func(t *testing.T) {
 		var raw json.RawMessage

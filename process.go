@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"triggerman/internal/admission"
 	"triggerman/internal/agg"
 	"triggerman/internal/catalog"
 	"triggerman/internal/datasource"
@@ -21,49 +20,39 @@ import (
 )
 
 // capture is the external entry point for a freshly captured update:
-// the closed check and admission control run here, before the token is
-// durably enqueued. Producers (TableSource, StreamSource) call capture;
-// internal re-entries that must survive shutdown or bypass the closed
-// gate (cascaded execSQL updates, dead-letter requeue) call admit
-// directly.
+// producers (StreamSource) call it, and it admits the token under the
+// close gate. Internal re-entries that must survive shutdown or bypass
+// the closed gate (cascaded execSQL updates, dead-letter requeue) call
+// admit directly.
 func (s *System) capture(tok datasource.Token) error {
-	if s.isClosed() {
-		return errClosed
-	}
-	return s.admit(tok)
+	return s.gated(func() error { return s.admit(tok) })
 }
 
-// admit runs the token through admission control (§6's capture point is
-// where overload must be pushed back, before the token costs queue
-// space). Three outcomes:
-//
-//   - Admit: the token proceeds into the queue (apply).
-//   - Shed: batch-class work over the soft watermark is diverted to the
-//     dead-letter table — accounted, requeueable later, never silently
-//     dropped — and the capture call reports success.
-//   - Reject: the hard watermark or rate limit is breached; the caller
-//     gets a retryable *admission.OverloadError and keeps the token.
+// gated runs one producer call under the close gate. A call that
+// starts after Close has begun does nothing and returns errClosed; a
+// call already inside finishes, with its table write and its token's
+// capture, before Close goes on. So a closed system neither writes a
+// row nor enqueues a token, and Close cannot fall between the two.
+func (s *System) gated(f func() error) error {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if s.closed {
+		return errClosed
+	}
+	return f()
+}
+
+// admit accepts a token into this node's pipeline. Clustered
+// deployments route first: this covers every local entry point —
+// producers, cascaded execSQL updates, and dead-letter requeue — so a
+// cross-source cascade whose target lives elsewhere ships to its owner
+// instead of entering this pipeline.
 func (s *System) admit(tok datasource.Token) error {
-	// Clustered deployments route before admission: the overload verdict
-	// for a source belongs to the node that owns it. This covers every
-	// local entry point — producers, cascaded execSQL updates, and
-	// dead-letter requeue — so a cross-source cascade whose target lives
-	// elsewhere ships to its owner instead of entering this pipeline.
 	if r := s.router(); r != nil {
 		if src, ok := s.reg.ByID(tok.SourceID); ok {
 			if handled, err := r.Route(src.Name, tok, ""); handled {
 				return err
 			}
-		}
-	}
-	if s.adm != nil {
-		verdict, err := s.adm.Admit(tok.SourceID, s.sourceClass(tok.SourceID))
-		switch verdict {
-		case admission.VerdictReject:
-			return err
-		case admission.VerdictShed:
-			s.shedToken(tok)
-			return nil
 		}
 	}
 	return s.apply(tok)
@@ -73,7 +62,7 @@ func (s *System) admit(tok datasource.Token) error {
 // interactive sources ride the high queue, batch sources the low queue
 // (aged by taskq so they cannot starve).
 func (s *System) taskPri(src int32) taskq.Priority {
-	if s.sourceClass(src) == admission.Batch {
+	if s.sourceClass(src) == catalog.Batch {
 		return taskq.Low
 	}
 	return taskq.High
@@ -531,7 +520,7 @@ func (w *work) runCombo(lt *catalog.LoadedTrigger, tuples []types.Tuple, aggs ty
 	// the *trigger's* declared class, not the source's — a batch trigger
 	// on a shared source must not ride the interactive queue.
 	pri := taskq.High
-	if lt.Info.Class == admission.Batch {
+	if lt.Info.Class == catalog.Batch {
 		pri = taskq.Low
 	}
 	return s.submit(aw, taskq.Task{Kind: taskq.RunAction, Pri: pri})
@@ -615,10 +604,9 @@ func (r capturingRunner) ExecParams(st parser.Statement, params expr.Env) (*mini
 					tok.Op = datasource.OpUpdate
 					tok.Old, tok.New = ch.Old, ch.New
 				}
-				// Cascades go through admission (an overloaded source
-				// pushes back on the action that feeds it) but skip the
-				// closed gate: an in-flight action during Close must be
-				// able to finish its writes while the pool drains.
+				// Cascades skip the closed gate: an in-flight action
+				// during Close must be able to finish its writes while
+				// the pool drains.
 				if err := r.sys.admit(tok); err != nil {
 					return res, err
 				}

@@ -14,28 +14,11 @@ import (
 // program delivers an update descriptor for a registered source. A
 // trace context header ("tm1-<id>-<flags>") continues the client's
 // span through capture→action; malformed headers fail the push rather
-// than silently dropping the trace.
+// than silently dropping the trace. Clustered deployments ship a token
+// whose source is owned elsewhere to the owner (or dead-letter it if
+// unreachable) instead of entering the local pipeline.
 func (s *System) PushToken(source string, op datasource.Op, old, new []wire.Value, traceCtx string) error {
-	if s.isClosed() {
-		return errClosed
-	}
-	tok, err := s.decodeWireToken(source, op, old, new)
-	if err != nil {
-		return err
-	}
-	parent, flags, err := trace.ParseContext(traceCtx)
-	if err != nil {
-		return err
-	}
-	// Clustered deployments: a token whose source is owned elsewhere is
-	// shipped to the owner (or dead-lettered if unreachable) instead of
-	// entering the local pipeline.
-	if r := s.router(); r != nil {
-		if handled, rerr := r.Route(source, tok, traceCtx); handled {
-			return rerr
-		}
-	}
-	return s.applyTraced(tok, parent, flags)
+	return s.pushWire(source, op, old, new, traceCtx, s.router())
 }
 
 // ApplyForwarded is PushToken for tokens arriving from a peer node
@@ -43,18 +26,28 @@ func (s *System) PushToken(source string, op datasource.Op, old, new []wire.Valu
 // so a stale placement ring on the sender cannot bounce a token
 // between nodes forever.
 func (s *System) ApplyForwarded(source string, op datasource.Op, old, new []wire.Value, traceCtx string) error {
-	if s.isClosed() {
-		return errClosed
-	}
-	tok, err := s.decodeWireToken(source, op, old, new)
-	if err != nil {
-		return err
-	}
-	parent, flags, err := trace.ParseContext(traceCtx)
-	if err != nil {
-		return err
-	}
-	return s.applyTraced(tok, parent, flags)
+	return s.pushWire(source, op, old, new, traceCtx, nil)
+}
+
+// pushWire applies one wire-delivered token under the close gate,
+// offering it to router r first when r is non-nil.
+func (s *System) pushWire(source string, op datasource.Op, old, new []wire.Value, traceCtx string, r TokenRouter) error {
+	return s.gated(func() error {
+		tok, err := s.decodeWireToken(source, op, old, new)
+		if err != nil {
+			return err
+		}
+		parent, flags, err := trace.ParseContext(traceCtx)
+		if err != nil {
+			return err
+		}
+		if r != nil {
+			if handled, rerr := r.Route(source, tok, traceCtx); handled {
+				return rerr
+			}
+		}
+		return s.applyTraced(tok, parent, flags)
+	})
 }
 
 // decodeWireToken resolves the source name and converts wire tuples

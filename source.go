@@ -67,17 +67,54 @@ func (t *TableSource) Source() *datasource.Source { return t.src }
 // Table returns the backing table.
 func (t *TableSource) Table() *minisql.Table { return t.tab }
 
-// Insert adds a row and captures an insert descriptor.
+// Insert adds a row and captures an insert descriptor. The row is
+// written and the descriptor captured under the close gate: on a
+// closed system the table is left as it was.
 func (t *TableSource) Insert(tu types.Tuple) error {
-	if _, err := t.tab.Insert(tu); err != nil {
-		return err
-	}
-	return t.sys.capture(datasource.Token{SourceID: t.src.ID, Op: datasource.OpInsert, New: tu.Clone()})
+	return t.sys.gated(func() error {
+		if _, err := t.tab.Insert(tu); err != nil {
+			return err
+		}
+		return t.sys.admit(datasource.Token{SourceID: t.src.ID, Op: datasource.OpInsert, New: tu.Clone()})
+	})
 }
 
 // Delete removes the first row equal to tu and captures a delete
 // descriptor. It fails when no such row exists.
 func (t *TableSource) Delete(tu types.Tuple) error {
+	return t.sys.gated(func() error {
+		rid, err := t.find(tu)
+		if err != nil {
+			return err
+		}
+		if err := t.tab.Delete(rid); err != nil {
+			return err
+		}
+		return t.sys.admit(datasource.Token{SourceID: t.src.ID, Op: datasource.OpDelete, Old: tu.Clone()})
+	})
+}
+
+// Update replaces the first row equal to old with new and captures an
+// update descriptor.
+func (t *TableSource) Update(old, new types.Tuple) error {
+	return t.sys.gated(func() error {
+		rid, err := t.find(old)
+		if err != nil {
+			return err
+		}
+		if _, err := t.tab.UpdateRow(rid, new); err != nil {
+			return err
+		}
+		return t.sys.admit(datasource.Token{
+			SourceID: t.src.ID, Op: datasource.OpUpdate,
+			Old: old.Clone(), New: new.Clone(),
+		})
+	})
+}
+
+// find returns the RID of the first row equal to tu, scanning the table
+// from its first page.
+func (t *TableSource) find(tu types.Tuple) (storage.RID, error) {
 	var rid storage.RID
 	found := false
 	err := t.tab.Scan(func(r storage.RID, row types.Tuple) bool {
@@ -87,43 +124,10 @@ func (t *TableSource) Delete(tu types.Tuple) error {
 		}
 		return true
 	})
-	if err != nil {
-		return err
+	if err == nil && !found {
+		err = fmt.Errorf("triggerman: no row %s in %s", tu, t.src.Name)
 	}
-	if !found {
-		return fmt.Errorf("triggerman: no row %s in %s", tu, t.src.Name)
-	}
-	if err := t.tab.Delete(rid); err != nil {
-		return err
-	}
-	return t.sys.capture(datasource.Token{SourceID: t.src.ID, Op: datasource.OpDelete, Old: tu.Clone()})
-}
-
-// Update replaces the first row equal to old with new and captures an
-// update descriptor.
-func (t *TableSource) Update(old, new types.Tuple) error {
-	var rid storage.RID
-	found := false
-	err := t.tab.Scan(func(r storage.RID, row types.Tuple) bool {
-		if row.Equal(old) {
-			rid, found = r, true
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("triggerman: no row %s in %s", old, t.src.Name)
-	}
-	if _, err := t.tab.UpdateRow(rid, new); err != nil {
-		return err
-	}
-	return t.sys.capture(datasource.Token{
-		SourceID: t.src.ID, Op: datasource.OpUpdate,
-		Old: old.Clone(), New: new.Clone(),
-	})
+	return rid, err
 }
 
 // Source returns the underlying data source descriptor.

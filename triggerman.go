@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"triggerman/internal/admission"
 	"triggerman/internal/cache"
 	"triggerman/internal/catalog"
 	"triggerman/internal/datasource"
@@ -91,14 +90,6 @@ type Options struct {
 	// processing work (enqueue, dequeue, match passes). Nil takes the
 	// default (6 attempts, 1ms base doubling to a 50ms cap).
 	QueueRetry *retry.Policy
-	// AdmissionConfig, when non-nil, enables overload protection at
-	// capture: per-source token-bucket rate limits and queue-depth
-	// watermarks. Over the soft watermark, batch-class tokens are shed
-	// to the dead-letter table (accounted, requeueable); over the hard
-	// watermark (or rate limit) every token is rejected with a
-	// retryable error matching admission.ErrOverload. Nil admits
-	// everything (no overload protection).
-	AdmissionConfig *admission.Config
 	// BufferPoolPages bounds the page cache (default 4096 pages = 16MB).
 	BufferPoolPages int
 	// TriggerCacheSize bounds the trigger cache (default 16384, the
@@ -192,7 +183,7 @@ type Options struct {
 	// fast 5m/1h at 14.4× and slow 6h/3d at 1×).
 	SLOWindows []slo.WindowPair
 	// NodeID names this system instance in a multi-node deployment: it
-	// stamps /statusz and /loadz, is exchanged in the wire handshake,
+	// stamps /statusz, is exchanged in the wire handshake,
 	// and marks the origin of forwarded tokens and replicated DDL.
 	// Empty means a standalone node ("local" in ops output).
 	NodeID string
@@ -253,8 +244,8 @@ type SLOObjective struct {
 // defaultSLOObjectives are the out-of-the-box contracts.
 func defaultSLOObjectives() []SLOObjective {
 	return []SLOObjective{
-		{Name: "interactive-p99", Class: admission.Interactive.String(), Target: 0.99, Threshold: 50 * time.Millisecond},
-		{Name: "batch-p95", Class: admission.Batch.String(), Target: 0.95, Threshold: 500 * time.Millisecond},
+		{Name: "interactive-p99", Class: catalog.Interactive.String(), Target: 0.99, Threshold: 50 * time.Millisecond},
+		{Name: "batch-p95", Class: catalog.Batch.String(), Target: 0.95, Threshold: 500 * time.Millisecond},
 	}
 }
 
@@ -280,11 +271,6 @@ type Stats struct {
 	DeadLetters int
 	// DeadLettered counts quarantines performed since Open.
 	DeadLettered int64
-	// TokensShed and TokensRejected count admission-control verdicts
-	// (zero when Options.AdmissionConfig is nil). Shed tokens are also
-	// counted by DeadLettered when their quarantine lands.
-	TokensShed     int64
-	TokensRejected int64
 }
 
 // System is a TriggerMan instance.
@@ -300,9 +286,6 @@ type System struct {
 	exe   *exec.Executor
 	pool  *taskq.Pool
 	queue datasource.Queue
-	// adm is the admission controller (nil when overload protection is
-	// not configured).
-	adm *admission.Controller
 
 	mu sync.RWMutex
 	// sources counts, per data source, the triggers that read it.
@@ -374,6 +357,11 @@ type System struct {
 	// picked up by ListenOps; internal/cluster mounts /clusterz here.
 	extraOps map[string]http.HandlerFunc
 
+	// gate orders producer calls against Close (see gated): producers
+	// hold it shared for a whole call, Close exclusively while it sets
+	// closed. closed is written under both gate and mu, so holding
+	// either one reads it.
+	gate   sync.RWMutex
 	closed bool
 }
 
@@ -560,13 +548,6 @@ func Open(opts Options) (*System, error) {
 		sys.queue = datasource.NewMemQueue()
 	} else if sys.queue, err = openQueue(db, bp, opts.DurableQueue); err != nil {
 		return nil, err
-	}
-	if opts.AdmissionConfig != nil {
-		sys.adm = admission.New(*opts.AdmissionConfig, sys.queue.SourceDepth)
-		sys.adm.OnTransition = func(src int32, from, to admission.State) {
-			elog.Emit("admission.state",
-				"source_id", src, "from", from.String(), "to", to.String())
-		}
 	}
 	if !opts.Synchronous {
 		sys.pool = taskq.New(taskq.Config{
@@ -768,31 +749,6 @@ func (s *System) registerViews() {
 			m.CounterFunc("tman_pool_total", "driver pool activity", v.fn, metrics.L("counter", v.counter))
 		}
 	}
-	if s.adm != nil {
-		for _, v := range []struct {
-			verdict string
-			fn      func() int64
-		}{
-			{"admitted", func() int64 { a, _, _ := s.adm.Totals(); return a }},
-			{"shed", func() int64 { _, sh, _ := s.adm.Totals(); return sh }},
-			{"rejected", func() int64 { _, _, r := s.adm.Totals(); return r }},
-		} {
-			m.CounterFunc("tman_admission_total", "admission-control verdicts", v.fn, metrics.L("verdict", v.verdict))
-		}
-		for _, st := range []admission.State{admission.StateAdmitting, admission.StateShedding, admission.StateRejecting} {
-			st := st
-			m.GaugeFunc("tman_admission_sources", "data sources per graceful-degradation state",
-				func() int64 {
-					var n int64
-					for _, row := range s.adm.Snapshot(nil) {
-						if row.State == st {
-							n++
-						}
-					}
-					return n
-				}, metrics.L("state", st.String()))
-		}
-	}
 }
 
 func (s *System) rebuildMultiVar() {
@@ -820,7 +776,7 @@ func (s *System) countTrigger(id uint64, delta int) {
 		return
 	}
 	stateful := len(srcs) > 1 || s.cat.TriggerIsAggregate(id)
-	batch := s.cat.TriggerClass(id) == admission.Batch
+	batch := s.cat.TriggerClass(id) == catalog.Batch
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, src := range srcs {
@@ -837,18 +793,18 @@ func (s *System) countTrigger(id uint64, delta int) {
 	}
 }
 
-// sourceClass derives the admission class of a data source from the
-// triggers attached to it: a source is batch-class (low-priority tasks,
-// sheddable) exactly when it feeds at least one batch trigger and no
-// interactive ones. A source with no triggers at all stays interactive
-// — admission must not shed tokens whose consumers we cannot see yet.
-func (s *System) sourceClass(src int32) admission.Class {
+// sourceClass derives the priority class of a data source from the
+// triggers attached to it: a source is batch-class (its tokens run as
+// low-priority tasks) exactly when it feeds at least one batch trigger
+// and no interactive ones. A source with no triggers at all stays
+// interactive.
+func (s *System) sourceClass(src int32) catalog.Class {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if u := s.sources[src]; u.inter > 0 || u.batch == 0 {
-		return admission.Interactive
+		return catalog.Interactive
 	}
-	return admission.Batch
+	return catalog.Batch
 }
 
 // noteError records an asynchronous error with no further context
@@ -919,16 +875,8 @@ func (s *System) Stats() Stats {
 	if s.pool != nil {
 		st.Pool = s.pool.Stats()
 	}
-	if s.adm != nil {
-		_, st.TokensShed, st.TokensRejected = s.adm.Totals()
-	}
 	return st
 }
-
-// Admission exposes the admission controller, or nil when
-// Options.AdmissionConfig was not set. Ops handlers and tests read
-// per-source load states through it.
-func (s *System) Admission() *admission.Controller { return s.adm }
 
 // Metrics exposes the instrument registry (the ops endpoint and tests
 // read it; embedders may add their own instruments).
@@ -1034,16 +982,22 @@ func (s *System) Drain() {
 func (s *System) Flush() error { return s.bp.FlushAll() }
 
 // Close drains outstanding work, flushes, and shuts the system down.
+// It first waits for producer calls already in flight (see gated), so
+// it must not be called from inside one, such as from a FireHook that
+// a Synchronous system runs on the producer's goroutine.
 func (s *System) Close() error {
+	s.gate.Lock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.gate.Unlock()
 		return nil
 	}
 	s.closed = true
 	ops := s.ops
 	s.ops = nil
 	s.mu.Unlock()
+	s.gate.Unlock()
 	if ops != nil {
 		addr := ops.ln.Addr().String()
 		ops.shutdown()
